@@ -14,7 +14,8 @@ import sys
 from .evaluate import eval_offline, eval_online, render_report, result_from_json
 from .executor import GroundingConfig, summarize_trace_file
 from .geometry import DbscanParams
-from .planners import CorruptionConfig, ReplayPlanner, corrupt, oracle_factory, with_mask_noise
+from .planners import (CorruptedPlanner, CorruptionConfig, ReplayPlanner, corrupt,
+                       oracle_factory, with_mask_noise)
 from .scene import default_rig
 from .tasks import builtin_suite, load_suite
 
@@ -23,7 +24,13 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     with open(path) as f:
-        return json.load(f)
+        try:
+            config = json.load(f)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path} @ byte {e.pos}: {e.msg}") from e
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
+    return config
 
 
 def _setting(args, config: dict, name: str, default):
@@ -50,20 +57,27 @@ def _grounding_from(args, config) -> GroundingConfig:
     return GroundingConfig(dbscan_enabled=enabled, dbscan=params)
 
 
-def _planner_factory_from(args, config):
+def _corruption_from(args, config) -> CorruptionConfig | None:
+    """The corruption the chosen planner applies; None for the plain oracle."""
     name = _setting(args, config, "planner", "oracle")
-    factory = oracle_factory
-    if name == "corrupted":
-        cfg = CorruptionConfig(
-            p_wrong_object=float(_setting(args, config, "p-wrong-object", 0.0)),
-            p_wrong_action=float(_setting(args, config, "p-wrong-action", 0.0)),
-            p_malformed=float(_setting(args, config, "p-malformed", 0.0)),
-            transient=not bool(_setting(args, config, "sticky", False)),
-            seed=int(_setting(args, config, "corruption-seed", 0)),
-        )
-        factory = corrupt(factory, cfg)
-    elif name != "oracle":
+    if name == "oracle":
+        return None
+    if name != "corrupted":
         raise SystemExit(f"unknown planner {name!r}")
+    return CorruptionConfig(
+        p_wrong_object=float(_setting(args, config, "p-wrong-object", 0.0)),
+        p_wrong_action=float(_setting(args, config, "p-wrong-action", 0.0)),
+        p_malformed=float(_setting(args, config, "p-malformed", 0.0)),
+        transient=not bool(_setting(args, config, "sticky", False)),
+        seed=int(_setting(args, config, "corruption-seed", 0)),
+    )
+
+
+def _planner_factory_from(args, config):
+    factory = oracle_factory
+    cfg = _corruption_from(args, config)
+    if cfg is not None:
+        factory = corrupt(factory, cfg)
     noise = _setting(args, config, "mask-noise", 0.0)
     if noise:
         factory = with_mask_noise(factory, float(noise),
@@ -107,22 +121,10 @@ def cmd_gen_data(args, config) -> int:
 
 
 def cmd_eval_offline(args, config) -> int:
-    base = ReplayPlanner.from_dataset(args.data)
-    name = _setting(args, config, "planner", "oracle")
-    if name == "corrupted":
-        cfg = CorruptionConfig(
-            p_wrong_object=float(_setting(args, config, "p-wrong-object", 0.0)),
-            p_wrong_action=float(_setting(args, config, "p-wrong-action", 0.0)),
-            p_malformed=float(_setting(args, config, "p-malformed", 0.0)),
-            seed=int(_setting(args, config, "corruption-seed", 0)),
-        )
-        from .planners import CorruptedPlanner
-
-        planner = CorruptedPlanner(base, cfg, episode_seed=0)
-    elif name == "oracle":
-        planner = base
-    else:
-        raise SystemExit(f"unknown planner {name!r}")
+    cfg = _corruption_from(args, config)
+    planner = ReplayPlanner.from_dataset(args.data)
+    if cfg is not None:
+        planner = CorruptedPlanner(planner, cfg)
     result = eval_offline(args.data, planner)
     _write_or_print(render_report(result, args.format), args.out)
     return 0
@@ -243,9 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = _load_config(args.config)
     try:
-        return args.func(args, config)
+        return args.func(args, _load_config(args.config))
     except (RuntimeError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -27,10 +27,11 @@ from importlib import resources
 import numpy as np
 
 from .executor import EpisodeTrace, run_episode
-from .masks import rle_decode, rle_encode
+from .masks import mask_from_json, mask_to_json, rle_decode, rle_encode
 from .planlang import GroundedPlan, history_text, plan_from_json, plan_to_json
 from .planners import oracle_factory
 from .scene import CameraModel, CameraRig, View, ViewSet, default_rig
+from .seeds import dataset_episode_seed
 from .tasks import TaskScript, suite_digest
 
 REFEXP_QUERY = "Please segment one of the {name}"
@@ -233,10 +234,6 @@ def _views_from_json(id_maps: list, depth_files: list[str], root: str,
     return ViewSet(views)
 
 
-def _mask_to_json(mask: np.ndarray) -> dict:
-    return {"size": list(mask.shape), "runs": rle_encode(mask)}
-
-
 def _depth_names(episode: str, keystep: int, cameras: list[CameraModel]) -> list[str]:
     return [f"depth/{episode}_{keystep}_{cam.role}.bin" for cam in cameras]
 
@@ -265,7 +262,7 @@ def _record_to_json(rec) -> dict:
         base.update({
             "query": rec.query,
             "object_id": rec.object_id,
-            "gt_masks": [_mask_to_json(m) for m in rec.gt_masks],
+            "gt_masks": [mask_to_json(m) for m in rec.gt_masks],
         })
     return base
 
@@ -298,7 +295,7 @@ def _record_from_json(d: dict, root: str):
         group=d["group"],
         query=d["query"],
         object_id=d["object_id"],
-        gt_masks=[rle_decode(m["runs"], tuple(m["size"])) for m in d["gt_masks"]],
+        gt_masks=[mask_from_json(m) for m in d["gt_masks"]],
         views=views,
         cameras=cameras,
         inventory=inventory,
@@ -342,24 +339,26 @@ def write_dataset(manifest: DatasetManifest, records: list, out_dir: str) -> Dat
     return manifest
 
 
+def _read_json(path: str, parse):
+    """parse() of the JSON in path; bad JSON or a missing field is a DatasetReadError."""
+    try:
+        with open(path) as f:
+            payload = json.load(f)
+        return parse(payload)
+    except json.JSONDecodeError as e:
+        raise DatasetReadError(path, e.pos, e.msg) from e
+    except KeyError as e:
+        raise DatasetReadError(path, 0, f"missing field {e.args[0]!r}") from e
+
+
 def read_dataset(data_dir: str) -> tuple[DatasetManifest, list]:
     manifest_path = os.path.join(data_dir, "manifest.json")
-    try:
-        with open(manifest_path) as f:
-            manifest = DatasetManifest.from_json(json.load(f))
-    except json.JSONDecodeError as e:
-        raise DatasetReadError(manifest_path, e.pos, e.msg) from e
-    records = []
-    for name in manifest.files:
-        if not name.startswith("records/"):
-            continue
-        path = os.path.join(data_dir, name)
-        try:
-            with open(path) as f:
-                payload = json.load(f)
-        except json.JSONDecodeError as e:
-            raise DatasetReadError(path, e.pos, e.msg) from e
-        records.append(_record_from_json(payload, data_dir))
+    manifest = _read_json(manifest_path, DatasetManifest.from_json)
+    records = [
+        _read_json(os.path.join(data_dir, name), lambda d: _record_from_json(d, data_dir))
+        for name in manifest.files
+        if name.startswith("records/")
+    ]
     counted = sum(manifest.counts.values())
     if counted != len(records):
         raise DatasetReadError(
@@ -371,11 +370,6 @@ def read_dataset(data_dir: str) -> tuple[DatasetManifest, list]:
 
 
 # -- generators -------------------------------------------------------------------
-
-
-def _episode_seed(seed: int, variation_index: int, episode_index: int) -> int:
-    # Stable arithmetic mixing; avoids Python hash randomization.
-    return (seed * 1_000_003 + variation_index * 10_007 + episode_index) % (2**63)
 
 
 def _run_oracle_episodes(
@@ -390,7 +384,7 @@ def _run_oracle_episodes(
     for vi, task in enumerate(suite):
         per = []
         for ei in range(episodes_per_variation):
-            ep_seed = _episode_seed(seed, vi, ei)
+            ep_seed = dataset_episode_seed(seed, vi, ei)
             trace = run_episode(
                 task, ep_seed, oracle_factory, chunk=chunk, rig=rig, store_views=True
             )
@@ -404,6 +398,43 @@ def _run_oracle_episodes(
     return traces
 
 
+def _generate(kind, suite, episodes_per_variation, seed, out_dir, groups, id_prefix,
+              extract) -> DatasetManifest:
+    """Number the episodes, collect their records, write the dataset.
+
+    groups lists (manifest count key, per-episode items); extract(episode id,
+    item) returns that episode's records and its keystep count.
+    """
+    records: list = []
+    counts: dict[str, int] = {}
+    episodes = keysteps = 0
+    for key, items in groups:
+        n = 0
+        for item in items:
+            recs, ks = extract(f"{id_prefix}{episodes:05d}", item)
+            episodes += 1
+            keysteps += ks
+            n += len(recs)
+            records.extend(recs)
+        counts[key] = n
+    manifest = DatasetManifest(
+        kind=kind,
+        suite_hash=suite_digest(suite),
+        seed=seed,
+        episodes_per_variation=episodes_per_variation,
+        counts=counts,
+        total_records=len(records),
+        total_episodes=episodes,
+        mean_keysteps_per_episode=(keysteps / episodes) if episodes else 0.0,
+    )
+    return write_dataset(manifest, records, out_dir)
+
+
+def _plan_records(episode_id: str, trace: EpisodeTrace) -> tuple[list[KeystepRecord], int]:
+    recs = _records_from_trace(trace, episode_id)
+    return recs, len(recs)
+
+
 def gen_plan_dataset(
     suite: list[TaskScript],
     episodes_per_variation: int,
@@ -413,32 +444,34 @@ def gen_plan_dataset(
 ) -> DatasetManifest:
     """Grounded-planning tuples from oracle episodes, one per keystep."""
     traces = _run_oracle_episodes(suite, episodes_per_variation, seed, rig)
-    records: list[KeystepRecord] = []
-    counts: dict[str, int] = {}
-    episode_counter = 0
-    total_keysteps = 0
-    for task in suite:
-        n = 0
-        for trace in traces[task.key]:
-            eid = f"e{episode_counter:05d}"
-            episode_counter += 1
-            recs = _records_from_trace(trace, eid)
-            total_keysteps += len(recs)
-            n += len(recs)
-            records.extend(recs)
-        counts[task.key] = n
-    episodes = episode_counter
-    manifest = DatasetManifest(
-        kind="plan",
-        suite_hash=suite_digest(suite),
-        seed=seed,
-        episodes_per_variation=episodes_per_variation,
-        counts=counts,
-        total_records=len(records),
-        total_episodes=episodes,
-        mean_keysteps_per_episode=(total_keysteps / episodes) if episodes else 0.0,
-    )
-    return write_dataset(manifest, records, out_dir)
+    groups = [(task.key, traces[task.key]) for task in suite]
+    return _generate("plan", suite, episodes_per_variation, seed, out_dir, groups, "e",
+                     _plan_records)
+
+
+def _refexp_records(episode_id: str, trace: EpisodeTrace) -> tuple[list[RefExpRecord], int]:
+    indices = extract_keysteps(trace)
+    records = []
+    for t, idx in enumerate(indices):
+        step = trace.steps[idx]
+        visible = step.views.visible_ids()
+        records.extend(
+            RefExpRecord(
+                episode=episode_id,
+                keystep=t,
+                task=trace.task_key,
+                group=trace.group,
+                query=REFEXP_QUERY.format(name=name),
+                object_id=oid,
+                gt_masks=step.views.masks_for(oid),
+                views=step.views,
+                cameras=step.cameras,
+                inventory=list(trace.inventory),
+            )
+            for oid, name in trace.inventory
+            if oid in visible
+        )
+    return records, len(indices)
 
 
 def gen_refexp_dataset(
@@ -450,48 +483,9 @@ def gen_refexp_dataset(
 ) -> DatasetManifest:
     """Referring-expression records: every visible inventory object per keystep."""
     traces = _run_oracle_episodes(suite, episodes_per_variation, seed, rig)
-    records: list[RefExpRecord] = []
-    counts: dict[str, int] = {}
-    episode_counter = 0
-    total_keysteps = 0
-    for task in suite:
-        n = 0
-        for trace in traces[task.key]:
-            eid = f"e{episode_counter:05d}"
-            episode_counter += 1
-            for t, idx in enumerate(extract_keysteps(trace)):
-                step = trace.steps[idx]
-                total_keysteps += 1
-                visible = step.views.visible_ids()
-                for oid, name in trace.inventory:
-                    if oid not in visible:
-                        continue
-                    records.append(RefExpRecord(
-                        episode=eid,
-                        keystep=t,
-                        task=trace.task_key,
-                        group=trace.group,
-                        query=REFEXP_QUERY.format(name=name),
-                        object_id=oid,
-                        gt_masks=step.views.masks_for(oid),
-                        views=step.views,
-                        cameras=step.cameras,
-                        inventory=list(trace.inventory),
-                    ))
-                    n += 1
-        counts[task.key] = n
-    episodes = episode_counter
-    manifest = DatasetManifest(
-        kind="refexp",
-        suite_hash=suite_digest(suite),
-        seed=seed,
-        episodes_per_variation=episodes_per_variation,
-        counts=counts,
-        total_records=len(records),
-        total_episodes=episodes,
-        mean_keysteps_per_episode=(total_keysteps / episodes) if episodes else 0.0,
-    )
-    return write_dataset(manifest, records, out_dir)
+    groups = [(task.key, traces[task.key]) for task in suite]
+    return _generate("refexp", suite, episodes_per_variation, seed, out_dir, groups, "e",
+                     _refexp_records)
 
 
 def joint_instruction(instruction_a: str, instruction_b: str, seed: int) -> str:
@@ -532,6 +526,12 @@ def gen_long_horizon(
     return out
 
 
+def _long_records(episode_id: str, pair: tuple) -> tuple[list[KeystepRecord], int]:
+    trace_a, trace_b, pair_seed = pair
+    recs = gen_long_horizon(trace_a, trace_b, seed=pair_seed, episode_id=episode_id)
+    return recs, len(recs)
+
+
 def gen_long_dataset(
     suite: list[TaskScript],
     episodes_per_variation: int,
@@ -543,35 +543,15 @@ def gen_long_dataset(
     if len(suite) < 2:
         raise ValueError("long-horizon generation needs at least two variations")
     traces = _run_oracle_episodes(suite, episodes_per_variation, seed, rig)
-    records: list[KeystepRecord] = []
-    counts: dict[str, int] = {}
-    pair_counter = 0
-    total_keysteps = 0
+    groups = []
     for vi, task_a in enumerate(suite):
         task_b = suite[(vi + 1) % len(suite)]
         if task_a.key == task_b.key:
             continue
-        key = f"{task_a.key}|{task_b.key}"
-        n = 0
-        for ei in range(episodes_per_variation):
-            pid = f"p{pair_counter:05d}"
-            pair_counter += 1
-            recs = gen_long_horizon(
-                traces[task_a.key][ei], traces[task_b.key][ei],
-                seed=_episode_seed(seed, vi, ei), episode_id=pid,
-            )
-            total_keysteps += len(recs)
-            records.extend(recs)
-            n += len(recs)
-        counts[key] = n
-    manifest = DatasetManifest(
-        kind="long",
-        suite_hash=suite_digest(suite),
-        seed=seed,
-        episodes_per_variation=episodes_per_variation,
-        counts=counts,
-        total_records=len(records),
-        total_episodes=pair_counter,
-        mean_keysteps_per_episode=(total_keysteps / pair_counter) if pair_counter else 0.0,
-    )
-    return write_dataset(manifest, records, out_dir)
+        pairs = [
+            (traces[task_a.key][ei], traces[task_b.key][ei], dataset_episode_seed(seed, vi, ei))
+            for ei in range(episodes_per_variation)
+        ]
+        groups.append((f"{task_a.key}|{task_b.key}", pairs))
+    return _generate("long", suite, episodes_per_variation, seed, out_dir, groups, "p",
+                     _long_records)

@@ -21,6 +21,7 @@ from .objectives import iou
 from .planlang import PlanParseError, normalize_text, parse_plan
 from .planners import Planner, PlannerFactory
 from .scene import CameraRig
+from .seeds import episode_seed
 from .tasks import TaskScript
 
 
@@ -179,11 +180,6 @@ def eval_offline(dataset, planner: Planner) -> OfflineResult:
 # -- online -------------------------------------------------------------------
 
 
-def episode_seed(seed: int, variation_index: int, run: int, episode: int) -> int:
-    return (seed * 7_368_787 + variation_index * 104_729
-            + run * 15_485_863 + episode) % (2**63)
-
-
 def eval_online(
     suite: list[TaskScript],
     planner_factory: PlannerFactory,
@@ -193,7 +189,6 @@ def eval_online(
     seed: int = 0,
     rig: CameraRig | None = None,
     grounding: GroundingConfig = GroundingConfig(),
-    max_steps: int = 25,
 ) -> OnlineResult:
     """Seeded task-completion evaluation; bit-reproducible for fixed inputs."""
     variations: dict[str, VariationResult] = {}
@@ -207,7 +202,6 @@ def eval_online(
                     episode_seed(seed, vi, run, ep),
                     planner_factory,
                     chunk=chunk,
-                    max_steps=max_steps,
                     rig=rig,
                     grounding=grounding,
                 )

@@ -49,7 +49,7 @@ from .simulate import (
 from .tasks import PredicateError, TaskScript
 
 PARSE_RETRIES = 3
-DEFAULT_MAX_STEPS = 25
+MAX_STEPS = 25  # motion-step budget per episode
 PUSH_STROKE = 0.06
 ROTATE_INCREMENT = math.pi / 2.0
 
@@ -62,12 +62,11 @@ class NoTargetPointsError(RuntimeError):
 class GroundingConfig:
     """How planner masks become a labeled point cloud.
 
-    The DBSCAN filter applies per reference cloud and is off by default,
-    matching the headline executor configuration; enable it to clean noisy
-    masks.
+    Reference clouds are always fused on the FUSE_VOXEL grid. The DBSCAN
+    filter applies per reference cloud and is off by default, matching the
+    headline executor configuration; enable it to clean noisy masks.
     """
 
-    voxel: float = 0.005
     dbscan_enabled: bool = False
     dbscan: DbscanParams = field(default_factory=DbscanParams)
 
@@ -86,7 +85,7 @@ def ground_plan(
             unproject(view.depth, mask, cam)
             for view, mask, cam in zip(views, ref.masks, rig.cameras)
         ]
-        cloud = fuse_views(per_view, voxel=config.voxel)
+        cloud = fuse_views(per_view)
         if config.dbscan_enabled:
             cloud = dbscan_filter(cloud, config.dbscan)
         reference_clouds[slot] = cloud
@@ -299,7 +298,6 @@ def run_episode(
     seed: int,
     planner_factory: PlannerFactory,
     chunk: int = 5,
-    max_steps: int = DEFAULT_MAX_STEPS,
     rig: CameraRig | None = None,
     grounding: GroundingConfig = GroundingConfig(),
     store_views: bool = False,
@@ -328,7 +326,7 @@ def run_episode(
     except PredicateError:
         return trace
 
-    while trace.motion_steps < max_steps:
+    while trace.motion_steps < MAX_STEPS:
         posed_rig = rig.posed(sim.gripper.position)
         views = render_views(sim.scene, posed_rig)
         prompt = build_prompt(PromptSpec(
@@ -387,7 +385,7 @@ def run_episode(
         succeeded = False
         fatal = False
         for motion in steps[: min(chunk, len(steps))]:
-            if trace.motion_steps >= max_steps:
+            if trace.motion_steps >= MAX_STEPS:
                 break
             sim.step(motion)
             trace.motion_steps += 1

@@ -126,6 +126,13 @@ def fuse_views(point_lists: list[np.ndarray], voxel: float = FUSE_VOXEL) -> np.n
     return canonical_order(centroids)
 
 
+def _eps_neighbours(pts: np.ndarray, params: DbscanParams) -> tuple[np.ndarray, np.ndarray]:
+    """(N x N within-eps adjacency, core mask); min_pts counts the point itself."""
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+    adj = d2 <= params.eps**2
+    return adj, adj.sum(axis=1) >= params.min_pts
+
+
 def dbscan_filter(points: np.ndarray, params: DbscanParams = DbscanParams()) -> np.ndarray:
     """Drop DBSCAN noise points; all clusters survive.
 
@@ -133,12 +140,9 @@ def dbscan_filter(points: np.ndarray, params: DbscanParams = DbscanParams()) -> 
     clustering, so output is deterministic and filtering is idempotent.
     """
     pts = canonical_order(points)
-    n = len(pts)
-    if n == 0:
+    if len(pts) == 0:
         return pts
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-    adj = d2 <= params.eps**2
-    core = adj.sum(axis=1) >= params.min_pts
+    adj, core = _eps_neighbours(pts, params)
     # A point is kept iff it is a core point or within eps of one.
     keep = core | adj[:, core].any(axis=1)
     return pts[keep]
@@ -154,9 +158,7 @@ def dbscan_labels(points: np.ndarray, params: DbscanParams = DbscanParams()) -> 
     labels = np.full(n, -1, dtype=int)
     if n == 0:
         return labels
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-    adj = d2 <= params.eps**2
-    core = adj.sum(axis=1) >= params.min_pts
+    adj, core = _eps_neighbours(pts, params)
     cluster = 0
     for i in range(n):
         if not core[i] or labels[i] != -1:
@@ -183,12 +185,11 @@ def categorize(
     gripper_position: np.ndarray,
     held_id: int | None = None,
     scene_ids: np.ndarray | None = None,
-    robot_radius: float = ROBOT_RADIUS,
 ) -> LabeledPointCloud:
     """Label points with the four motion-policy categories.
 
     reference_clouds maps "object"/"location" to that reference's fused
-    cloud. Scene points default to obstacle. Points within `robot_radius`
+    cloud. Scene points default to obstacle. Points within ROBOT_RADIUS
     of the gripper, plus scene points belonging to the held object, become
     robot points; precedence is robot > target object > target location >
     obstacle.
@@ -217,6 +218,6 @@ def categorize(
         scene_offset = len(points) - len(scene_pts)
         label[scene_offset:][held_mask] = ROBOT
     gp = np.asarray(gripper_position, dtype=float).reshape(3)
-    near = np.linalg.norm(points - gp, axis=1) <= robot_radius
+    near = np.linalg.norm(points - gp, axis=1) <= ROBOT_RADIUS
     label[near] = ROBOT
     return LabeledPointCloud(points, label)

@@ -2,7 +2,8 @@
 
 Runs alternate zero/one counts, always starting with the zero run (which may
 be 0), over the row-major flattened mask. The run counts sum to the pixel
-count, so the encoding is self-validating.
+count, so the encoding is self-validating. In JSON a mask is
+``{"size": [h, w], "runs": [...]}``.
 """
 
 from __future__ import annotations
@@ -37,5 +38,9 @@ def rle_decode(runs: list[int], shape: tuple[int, int]) -> np.ndarray:
     return flat.reshape(h, w)
 
 
-def mask_area(mask: np.ndarray) -> int:
-    return int(np.count_nonzero(mask))
+def mask_to_json(mask: np.ndarray) -> dict:
+    return {"size": list(mask.shape), "runs": rle_encode(mask)}
+
+
+def mask_from_json(d: dict) -> np.ndarray:
+    return rle_decode(d["runs"], tuple(d["size"]))

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .masks import mask_from_json, mask_to_json
+
 SEG = "<seg>"
 P_OPEN = "<p>"
 P_CLOSE = "</p>"
@@ -66,9 +68,6 @@ class GroundedReference:
 
     text: str
     masks: list[np.ndarray] = field(default_factory=list)
-
-    def text_equals(self, other: "GroundedReference") -> bool:
-        return normalize_text(self.text) == normalize_text(other.text)
 
 
 @dataclass
@@ -181,16 +180,14 @@ def normalize_text(s: str) -> str:
     return " ".join(tokens)
 
 
-def _match_action(head: str, schema: dict[str, ActionSpec]) -> str:
+def _match_action(head: str) -> str:
     tokens = [t for t in head.lower().split() if t not in _ARTICLES]
     while tokens and tokens[-1] in _CONNECTIVES:
         tokens.pop()
-    cleaned = " ".join(tokens)
-    # Longest vocabulary entry first so "push down" wins over any prefix.
-    for action in sorted(schema, key=len, reverse=True):
-        if cleaned == action:
-            return action
-    raise UnknownAction(f"unrecognized action text: {head!r}")
+    action = " ".join(tokens)
+    if action not in DEFAULT_SCHEMA:
+        raise UnknownAction(f"unrecognized action text: {head!r}")
+    return action
 
 
 _TOKEN_RE = re.compile("|".join(re.escape(t) for t in (P_CLOSE, P_OPEN, SEG)))
@@ -241,25 +238,20 @@ def _scan_markup(text: str) -> tuple[str, list[str]]:
     return head, spans
 
 
-def parse_plan(
-    text: str,
-    mask_stacks: list[list[np.ndarray]],
-    schema: dict[str, ActionSpec] | None = None,
-) -> GroundedPlan:
+def parse_plan(text: str, mask_stacks: list[list[np.ndarray]]) -> GroundedPlan:
     """Parse a raw plan string plus its per-``<seg>`` mask stacks.
 
     Raises UnknownAction, MalformedMarkup, SlotMismatch or
     MaskCountMismatch; never returns a partial plan.
     """
-    schema = DEFAULT_SCHEMA if schema is None else schema
     head, spans = _scan_markup(text)
     head = head.strip()
     if not spans:
         # A refless plan may end with a period that belongs to the sentence.
         if head.endswith("."):
             head = head[:-1].rstrip()
-    action = _match_action(head, schema)
-    spec = schema[action]
+    action = _match_action(head)
+    spec = DEFAULT_SCHEMA[action]
     n_req, n_opt = len(spec.required), len(spec.optional)
     if not (n_req <= len(spans) <= n_req + n_opt):
         raise SlotMismatch(
@@ -279,10 +271,9 @@ def parse_plan(
     return plan
 
 
-def serialize_plan(plan: GroundedPlan, schema: dict[str, ActionSpec] | None = None) -> str:
+def serialize_plan(plan: GroundedPlan) -> str:
     """Canonical surface form; parse_plan inverts it up to normalization."""
-    schema = DEFAULT_SCHEMA if schema is None else schema
-    spec = schema[plan.action]
+    spec = DEFAULT_SCHEMA[plan.action]
     _check_slots(plan, spec)
     fields = {slot: ref.text for slot, ref in plan.references()}
     if spec.surface_optional is not None and len(fields) > len(spec.required):
@@ -290,10 +281,9 @@ def serialize_plan(plan: GroundedPlan, schema: dict[str, ActionSpec] | None = No
     return spec.surface.format(**fields)
 
 
-def history_text(plan: GroundedPlan, schema: dict[str, ActionSpec] | None = None) -> str:
+def history_text(plan: GroundedPlan) -> str:
     """Plain-text rendering of an executed plan for prompt history."""
-    schema = DEFAULT_SCHEMA if schema is None else schema
-    spec = schema[plan.action]
+    spec = DEFAULT_SCHEMA[plan.action]
     _check_slots(plan, spec)
     fields = {slot: ref.text for slot, ref in plan.references()}
     if spec.history_optional is not None and len(fields) > len(spec.required):
@@ -316,17 +306,11 @@ def _check_slots(plan: GroundedPlan, spec: ActionSpec) -> None:
 
 def plan_to_json(plan: GroundedPlan) -> dict:
     """JSON-friendly plan with RLE-encoded masks."""
-    from .masks import rle_encode
 
     def ref_json(ref: GroundedReference | None):
         if ref is None:
             return None
-        return {
-            "text": ref.text,
-            "masks": [
-                {"size": list(m.shape), "runs": rle_encode(m)} for m in ref.masks
-            ],
-        }
+        return {"text": ref.text, "masks": [mask_to_json(m) for m in ref.masks]}
 
     return {
         "action": plan.action,
@@ -336,12 +320,10 @@ def plan_to_json(plan: GroundedPlan) -> dict:
 
 
 def plan_from_json(obj: dict) -> GroundedPlan:
-    from .masks import rle_decode
-
     def ref_from(o):
         if o is None:
             return None
-        masks = [rle_decode(m["runs"], tuple(m["size"])) for m in o["masks"]]
+        masks = [mask_from_json(m) for m in o["masks"]]
         return GroundedReference(text=o["text"], masks=masks)
 
     return GroundedPlan(

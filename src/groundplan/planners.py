@@ -54,10 +54,6 @@ class EpisodeContext:
 PlannerFactory = Callable[[EpisodeContext], Planner]
 
 
-def _masks_for(views: ViewSet, oid: int) -> MaskStack:
-    return [v.ids == oid for v in views]
-
-
 class OraclePlanner:
     """Reads ground truth from the simulator; the performance ceiling.
 
@@ -81,14 +77,16 @@ class OraclePlanner:
                 return slot.location_role
         return None
 
+    def _rests_on(self, obj, loc_role: str) -> bool:
+        loc = self.sim.scene.role_object(loc_role)
+        horiz = float(np.linalg.norm((obj.position - loc.position)[:2]))
+        return horiz <= 0.05 and abs(obj.bottom_z() - loc.top_z()) <= 0.02
+
     def _placed(self, obj_role: str, loc_role: str) -> bool:
         scene = self.sim.scene
         obj = scene.role_object(obj_role)
-        loc = scene.role_object(loc_role)
-        horiz = float(np.linalg.norm((obj.position - loc.position)[:2]))
-        near3d = float(np.linalg.norm(obj.position - loc.position))
-        resting = abs(obj.bottom_z() - loc.top_z()) <= 0.02
-        return (horiz <= 0.05 and resting) or near3d <= 0.05
+        near3d = float(np.linalg.norm(obj.position - scene.role_object(loc_role).position))
+        return self._rests_on(obj, loc_role) or near3d <= 0.05
 
     def _joint_target(self, role: str) -> float:
         def scan(pred) -> float | None:
@@ -137,7 +135,7 @@ class OraclePlanner:
             drop = obj.bottom_z() - loc.top_z()
             # Done once a release would settle the object onto the location.
             over = horiz <= 0.035 and -0.02 <= drop <= 0.06
-            return over or self._placed_by_id(held, slot.location_role)
+            return over or self._rests_on(obj, slot.location_role)
         if slot.action == "rotate grasped object":
             from .planlang import DEFAULT_SCHEMA
 
@@ -154,14 +152,6 @@ class OraclePlanner:
                 return False
             return obj.shape.fraction >= self._joint_target(slot.object_role)
         return False
-
-    def _placed_by_id(self, oid: int, loc_role: str) -> bool:
-        scene = self.sim.scene
-        obj = scene.object_by_id(oid)
-        loc = scene.role_object(loc_role)
-        horiz = float(np.linalg.norm((obj.position - loc.position)[:2]))
-        resting = abs(obj.bottom_z() - loc.top_z()) <= 0.02
-        return horiz <= 0.05 and resting
 
     def _next_slot(self, history: list[str]) -> PlanSlot:
         gripper = self.sim.gripper
@@ -188,7 +178,7 @@ class OraclePlanner:
             if role is None:
                 continue
             obj = scene.role_object(role)
-            stack = _masks_for(views, obj.id)
+            stack = views.masks_for(obj.id)
             setattr(plan, attr, GroundedReference(text=obj.display_name(), masks=stack))
             stacks.append(stack)
         return serialize_plan(plan), stacks
@@ -340,7 +330,7 @@ class CorruptedPlanner:
         if not candidates:
             return serialize_plan(plan), [r.masks for _, r in plan.references()]
         oid, name = candidates[int(self.rng.integers(0, len(candidates)))]
-        setattr(plan, slot, GroundedReference(text=name, masks=_masks_for(views, oid)))
+        setattr(plan, slot, GroundedReference(text=name, masks=views.masks_for(oid)))
         return serialize_plan(plan), [r.masks for _, r in plan.references()]
 
     def _swap_action(self, plan: GroundedPlan) -> PlannerOutput:

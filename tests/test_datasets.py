@@ -25,6 +25,7 @@ from groundplan.executor import run_episode
 from groundplan.objectives import iou
 from groundplan.planlang import history_text
 from groundplan.planners import CorruptionConfig, corrupt, oracle_factory
+from groundplan.scene import default_rig
 from groundplan.tasks import task_from_json, task_to_json
 
 
@@ -127,6 +128,28 @@ def test_generation_byte_deterministic(tmp_path, suite, small_rig):
     gen_plan_dataset(suite[:2], 2, 7, str(a), rig=small_rig)
     gen_plan_dataset(suite[:2], 2, 7, str(b), rig=small_rig)
     assert tree_digest(a) == tree_digest(b)
+
+
+# Builtin suite, 96 px default rig, 2 episodes per variation, seed 5.
+# Dataset bytes are part of the reproducibility contract: a change that
+# moves one of these digests has to say why.
+GOLDEN = {
+    "plan": (gen_plan_dataset, 32,
+             "0500a62f3edc1cfc303406d164b14315a36b0365e00148db153ba96d6822e94d"),
+    "refexp": (gen_refexp_dataset, 110,
+               "dd986558b9a5639ab55c81eb33aaebd0952595d933b4612ec75ad2d0b7802e04"),
+    "long": (gen_long_dataset, 64,
+             "8cf127262cdc0e340d6009c89b5a23146fed76f463315bdf05e2f41a51f9cf06"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN))
+def test_generated_bytes_match_golden_digest(tmp_path, suite, kind):
+    gen, records, digest = GOLDEN[kind]
+    man = gen(suite, episodes_per_variation=2, seed=5, out_dir=str(tmp_path),
+              rig=default_rig(96))
+    assert man.total_records == records
+    assert tree_digest(tmp_path) == digest
 
 
 def test_gt_masks_self_consistent(tmp_path, suite, small_rig):
@@ -326,3 +349,21 @@ def test_corrupt_record_reports_file_and_offset(tmp_path, suite, small_rig):
         read_dataset(str(tmp_path))
     assert victim in str(err.value)
     assert "byte" in str(err.value)
+
+
+@pytest.mark.parametrize("victim, field", [("manifest.json", "counts"), ("records/", "plan_text")])
+def test_missing_field_reports_file_and_field(tmp_path, suite, small_rig, capsys, victim, field):
+    from groundplan.cli import main
+
+    man = gen_plan_dataset(suite[:1], 1, 0, str(tmp_path), rig=small_rig)
+    name = victim if victim == "manifest.json" else [f for f in man.files if f.startswith(victim)][0]
+    path = tmp_path / name
+    payload = json.loads(path.read_text())
+    del payload[field]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DatasetReadError) as err:
+        read_dataset(str(tmp_path))
+    assert name in str(err.value)
+    assert f"missing field '{field}'" in str(err.value)
+    assert main(["eval-offline", "--data", str(tmp_path)]) == 1
+    assert f"missing field '{field}'" in capsys.readouterr().err
