@@ -20,6 +20,11 @@ from .scene import default_rig
 from .tasks import builtin_suite, load_suite
 
 
+# Config fields that switch something on; a string such as "false" would
+# read as true, so only JSON true and false are accepted.
+_BOOLEAN_FIELDS = ("sticky", "dbscan-filter", "dbscan_filter")
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -30,6 +35,9 @@ def _load_config(path: str | None) -> dict:
             raise ValueError(f"{path} @ byte {e.pos}: {e.msg}") from e
     if not isinstance(config, dict):
         raise ValueError(f"{path}: config must be a JSON object")
+    for name in _BOOLEAN_FIELDS:
+        if name in config and not isinstance(config[name], bool):
+            raise ValueError(f"{path}: {name} must be true or false")
     return config
 
 
@@ -53,7 +61,7 @@ def _grounding_from(args, config) -> GroundingConfig:
         eps=_setting(args, config, "dbscan-eps", dbs.get("eps", 0.02)),
         min_pts=int(_setting(args, config, "dbscan-min-pts", dbs.get("min_pts", 5))),
     )
-    enabled = bool(_setting(args, config, "dbscan-filter", config.get("dbscan_filter", False)))
+    enabled = _setting(args, config, "dbscan-filter", config.get("dbscan_filter", False))
     return GroundingConfig(dbscan_enabled=enabled, dbscan=params)
 
 
@@ -68,7 +76,7 @@ def _corruption_from(args, config) -> CorruptionConfig | None:
         p_wrong_object=float(_setting(args, config, "p-wrong-object", 0.0)),
         p_wrong_action=float(_setting(args, config, "p-wrong-action", 0.0)),
         p_malformed=float(_setting(args, config, "p-malformed", 0.0)),
-        transient=not bool(_setting(args, config, "sticky", False)),
+        transient=not _setting(args, config, "sticky", False),
         seed=int(_setting(args, config, "corruption-seed", 0)),
     )
 
@@ -121,11 +129,14 @@ def cmd_gen_data(args, config) -> int:
 
 
 def cmd_eval_offline(args, config) -> int:
+    from .datasets import read_dataset
+
     cfg = _corruption_from(args, config)
-    planner = ReplayPlanner.from_dataset(args.data)
+    _, records = read_dataset(args.data)
+    planner = ReplayPlanner.from_records(records)
     if cfg is not None:
         planner = CorruptedPlanner(planner, cfg)
-    result = eval_offline(args.data, planner)
+    result = eval_offline(records, planner)
     _write_or_print(render_report(result, args.format), args.out)
     return 0
 

@@ -393,6 +393,11 @@ def _run_oracle_episodes(
                     f"oracle episode failed: task {task.key} seed {ep_seed} "
                     f"({trace.terminal})"
                 )
+            # Only keystep views are written; drop the rest now rather than
+            # hold every step's views until the dataset is written.
+            for step in trace.steps:
+                if not step.keystep:
+                    step.views = step.cameras = None
             per.append(trace)
         traces[task.key] = per
     return traces

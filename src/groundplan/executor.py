@@ -25,6 +25,7 @@ from .geometry import (
     dbscan_filter,
     fuse_views,
     unproject,
+    unproject_pixels,
 )
 from .planlang import (
     GroundedPlan,
@@ -93,9 +94,8 @@ def ground_plan(
     scene_parts = []
     id_parts = []
     for view, cam in zip(views, rig.cameras):
-        pts = unproject(view.depth, view.ids != 0, cam)
-        scene_parts.append(pts)
         vs, us = np.nonzero((view.ids != 0) & (view.depth > 0))
+        scene_parts.append(unproject_pixels(view.depth, vs, us, cam))
         id_parts.append(view.ids[vs, us])
     scene_points = np.concatenate(scene_parts) if scene_parts else np.empty((0, 3))
     scene_ids = np.concatenate(id_parts) if id_parts else np.empty(0, dtype=np.int32)

@@ -5,10 +5,21 @@ voxel deduplication, labeled into the four point categories consumed by the
 motion policy, and optionally cleaned with DBSCAN outlier removal. All
 functions are pure and canonicalize point order, so results are independent
 of view order and safe to compare bit-for-bit.
+
+Voxels and DBSCAN cells are both addressed by one int64 key per point: the
+integer cell triple, offset by its per-axis minimum and packed in mixed
+radix. DBSCAN finds neighbours on a grid of cells with an edge of at least
+eps (Gunawan 2013; Gan & Tao 2015): points are sorted by cell key, and a
+point is tested only against the points of the 27 cells around its own,
+each pair of adjacent cells once. The expected cost is O(N) for clouds of
+bounded density, against the O(N^2) time and memory of an all-pairs
+distance matrix, and each candidate pair is decided by the same float
+expression as the all-pairs test, so results are bit-identical.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +102,13 @@ def unproject(depth: np.ndarray, mask: np.ndarray, camera: CameraModel) -> np.nd
     if depth.shape != mask.shape:
         raise ValueError(f"depth {depth.shape} and mask {mask.shape} differ")
     vs, us = np.nonzero(mask & (depth > 0))
+    return unproject_pixels(depth, vs, us, camera)
+
+
+def unproject_pixels(
+    depth: np.ndarray, vs: np.ndarray, us: np.ndarray, camera: CameraModel
+) -> np.ndarray:
+    """World points of the pixels (vs[k], us[k]), in that order."""
     if len(us) == 0:
         return np.empty((0, 3))
     d = depth[vs, us].astype(float)
@@ -106,6 +124,28 @@ def canonical_order(points: np.ndarray) -> np.ndarray:
     return pts[order]
 
 
+def _pack_cells(cells: np.ndarray, size: float, pad: int = 0) -> tuple[np.ndarray, list[int]]:
+    """One int64 key per row of integer-valued (float) cell triples, and the radices.
+
+    Each axis is offset by its minimum less `pad` and the triple is packed in
+    mixed radix, so keys sort like the triples and every cell within `pad`
+    of an occupied one has a key too. Raises ValueError, naming the span and
+    the cell size, when the keys would not fit in int64.
+    """
+    lo, hi = cells.min(axis=0), cells.max(axis=0)
+    radix = None
+    if np.isfinite([lo, hi]).all() and -(2**63) <= lo.min() and hi.max() < 2**63:
+        radix = [int(h) - int(l) + 1 + 2 * pad for l, h in zip(lo, hi)]
+    if radix is None or math.prod(radix) >= 2**63:
+        raise ValueError(
+            f"points span {(hi - lo + 1).tolist()} cells of {size!r} m per axis; "
+            "their packed cell keys would overflow int64"
+        )
+    # Integer arithmetic: float offsets could merge distinct cells past 2**53.
+    off = cells.astype(np.int64) - lo.astype(np.int64) + pad
+    return (off[:, 0] * radix[1] + off[:, 1]) * radix[2] + off[:, 2], radix
+
+
 def fuse_views(point_lists: list[np.ndarray], voxel: float = FUSE_VOXEL) -> np.ndarray:
     """Concatenate world-frame point lists and deduplicate on a voxel grid.
 
@@ -118,19 +158,58 @@ def fuse_views(point_lists: list[np.ndarray], voxel: float = FUSE_VOXEL) -> np.n
     if not nonempty:
         return np.empty((0, 3))
     pts = canonical_order(np.concatenate(nonempty))
-    keys = np.floor(pts / voxel).astype(np.int64)
-    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
-    sums = np.zeros((len(counts), 3))
-    np.add.at(sums, inverse, pts)
+    keys, _ = _pack_cells(np.floor(pts / voxel), voxel)
+    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    # bincount adds each voxel's points in input order, as np.add.at did.
+    sums = np.stack([np.bincount(inverse, weights=pts[:, k], minlength=len(counts))
+                     for k in range(3)], axis=1)
     centroids = sums / counts[:, None]
     return canonical_order(centroids)
 
 
-def _eps_neighbours(pts: np.ndarray, params: DbscanParams) -> tuple[np.ndarray, np.ndarray]:
-    """(N x N within-eps adjacency, core mask); min_pts counts the point itself."""
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-    adj = d2 <= params.eps**2
-    return adj, adj.sum(axis=1) >= params.min_pts
+def _runs(first: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k, first[k] + r) for every k and every r < lengths[k], in order."""
+    k = np.repeat(np.arange(len(lengths)), lengths)
+    start = np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
+    return k, start + np.arange(len(k))
+
+
+def _eps_neighbours(
+    pts: np.ndarray, params: DbscanParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, core): every ordered pair within eps, self pairs included, and
+    the core mask; min_pts counts the point itself. Points must be finite.
+    """
+    n = len(pts)
+    # Cells wider than eps by more than the rounding of pts / size, so two
+    # points that pass the distance test below never land two cells apart.
+    # That rounding grows with |pts| / eps, and so does the margin.
+    scale = float(np.abs(pts).max()) / params.eps
+    size = params.eps * (1.0 + 2.0**-30 + 2.0**-50 * scale)
+    keys, radix = _pack_cells(np.floor(pts / size), size, pad=1)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    counts = np.diff(np.r_[starts, n])
+    cells = sorted_keys[starts]
+    # Key steps to a cell itself and to the 13 of its neighbours that sort
+    # after it; every other pair of adjacent cells is met from its lower cell.
+    steps = np.array([(dx * radix[1] + dy) * radix[2] + dz
+                      for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)])
+    steps = steps[steps >= 0]
+    targets = (cells[:, None] + steps).ravel()
+    found = np.minimum(np.searchsorted(cells, targets), len(cells) - 1)
+    hit = cells[found] == targets
+    a, b = np.repeat(np.arange(len(cells)), len(steps))[hit], found[hit]
+    # Candidates: every point of cell a against every point of cell b.
+    row, p = _runs(starts[a], counts[a])
+    col, q = _runs(starts[b[row]], counts[b[row]])
+    i, j = order[p[col]], order[q]
+    near = np.sum((pts[i] - pts[j]) ** 2, axis=-1) <= params.eps**2
+    # A pair from two different cells was met in one order only.
+    mirror = near & (a != b)[row[col]]
+    i, j = np.concatenate([i[near], j[mirror]]), np.concatenate([j[near], i[mirror]])
+    return i, j, np.bincount(i, minlength=n) >= params.min_pts
 
 
 def dbscan_filter(points: np.ndarray, params: DbscanParams = DbscanParams()) -> np.ndarray:
@@ -142,40 +221,43 @@ def dbscan_filter(points: np.ndarray, params: DbscanParams = DbscanParams()) -> 
     pts = canonical_order(points)
     if len(pts) == 0:
         return pts
-    adj, core = _eps_neighbours(pts, params)
+    i, j, core = _eps_neighbours(pts, params)
     # A point is kept iff it is a core point or within eps of one.
-    keep = core | adj[:, core].any(axis=1)
+    keep = core.copy()
+    keep[i[core[j]]] = True
     return pts[keep]
 
 
 def dbscan_labels(points: np.ndarray, params: DbscanParams = DbscanParams()) -> np.ndarray:
     """Full DBSCAN labeling: cluster index per point, -1 for noise.
 
-    Border points attach to the lowest-indexed adjacent core cluster.
+    Clusters are numbered in order of their lowest-indexed core point.
+    Border points attach to the lowest-numbered adjacent core cluster.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     n = len(pts)
     labels = np.full(n, -1, dtype=int)
     if n == 0:
         return labels
-    adj, core = _eps_neighbours(pts, params)
-    cluster = 0
-    for i in range(n):
-        if not core[i] or labels[i] != -1:
-            continue
-        # Expand over density-connected core points.
-        frontier = np.zeros(n, dtype=bool)
-        frontier[i] = True
-        members = np.zeros(n, dtype=bool)
-        while frontier.any():
-            members |= frontier
-            reach = adj[frontier].any(axis=0) & core & ~members
-            frontier = reach
-        labels[members] = cluster
-        # Border points adjacent to this cluster's cores.
-        border = adj[:, members & core].any(axis=1) & ~core & (labels == -1)
-        labels[border] = cluster
-        cluster += 1
+    i, j, core = _eps_neighbours(pts, params)
+    # Core components: propagate the minimum index over core-core pairs,
+    # with pointer jumping, until every component holds its lowest index.
+    both = core[i] & core[j]
+    ci, cj = i[both], j[both]
+    root = np.arange(n)
+    while True:
+        nxt = root.copy()
+        np.minimum.at(nxt, ci, root[cj])
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, root):
+            break
+        root = nxt
+    roots = np.unique(root[core])
+    labels[core] = np.searchsorted(roots, root[core])
+    border = core[j] & ~core[i]
+    attach = np.full(n, len(roots))
+    np.minimum.at(attach, i[border], labels[j[border]])
+    labels[attach < len(roots)] = attach[attach < len(roots)]
     return labels
 
 

@@ -141,3 +141,22 @@ def test_unreadable_config_exits_nonzero(tmp_path, capsys, content):
     assert str(config) in err
     if content is not None:
         assert "@ byte 16" in err
+
+
+def test_eval_offline_reads_the_dataset_once(plan_data, monkeypatch):
+    from groundplan import datasets
+
+    real, calls = datasets.read_dataset, []
+    monkeypatch.setattr(datasets, "read_dataset", lambda path: calls.append(path) or real(path))
+    assert main(["eval-offline", "--data", str(plan_data)]) == 0
+    assert calls == [str(plan_data)]
+
+
+@pytest.mark.parametrize("field", ["sticky", "dbscan_filter"])
+@pytest.mark.parametrize("value", ["false", 0, None])
+def test_config_boolean_must_be_json_bool(tmp_path, capsys, field, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({field: value, "episodes": 1, "runs": 1, "resolution": 96}))
+    rc = main(["--config", str(config), "run-online", "--planner", "corrupted"])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == f"error: {config}: {field} must be true or false"

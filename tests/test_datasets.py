@@ -9,6 +9,7 @@ import pytest
 
 from groundplan.datasets import (
     DatasetReadError,
+    _run_oracle_episodes,
     extract_keysteps,
     gen_long_dataset,
     gen_long_horizon,
@@ -241,6 +242,15 @@ def test_joiner_deterministic_and_table_driven():
         again = joint_instruction("a b", "c d", seed)
         assert once == again
         assert once == templates[seed % 4].format(a="a b", b="c d")
+
+
+def test_generation_keeps_views_only_at_keysteps(suite, small_rig):
+    traces = _run_oracle_episodes(suite[:3], 1, 0, small_rig)
+    steps = [s for per in traces.values() for t in per for s in t.steps]
+    assert any(not s.keystep for s in steps)
+    for s in steps:
+        assert (s.views is not None) == s.keystep
+        assert (s.cameras is not None) == s.keystep
 
 
 def test_long_horizon_record_structure(suite, small_rig):

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groundplan.geometry import (
+    FUSE_VOXEL,
     OBSTACLE,
     ROBOT,
     TARGET_LOCATION,
@@ -301,6 +304,142 @@ def test_dbscan_output_subset_of_input(rng):
     out = dbscan_filter(pts, DbscanParams(eps=0.02, min_pts=5))
     in_set = {tuple(p) for p in pts}
     assert all(tuple(p) in in_set for p in out)
+
+
+# -- grid neighbour search and packed voxel keys against the dense references ---
+
+
+def _dense_eps_neighbours(pts, params):
+    """(N x N within-eps adjacency, core mask): the all-pairs reference."""
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+    adj = d2 <= params.eps**2
+    return adj, adj.sum(axis=1) >= params.min_pts
+
+
+def _dense_dbscan_filter(points, params):
+    pts = canonical_order(points)
+    if len(pts) == 0:
+        return pts
+    adj, core = _dense_eps_neighbours(pts, params)
+    keep = core | adj[:, core].any(axis=1)
+    return pts[keep]
+
+
+def _dense_dbscan_labels(points, params):
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    n = len(pts)
+    labels = np.full(n, -1, dtype=int)
+    if n == 0:
+        return labels
+    adj, core = _dense_eps_neighbours(pts, params)
+    cluster = 0
+    for i in range(n):
+        if not core[i] or labels[i] != -1:
+            continue
+        frontier = np.zeros(n, dtype=bool)
+        frontier[i] = True
+        members = np.zeros(n, dtype=bool)
+        while frontier.any():
+            members |= frontier
+            frontier = adj[frontier].any(axis=0) & core & ~members
+        labels[members] = cluster
+        border = adj[:, members & core].any(axis=1) & ~core & (labels == -1)
+        labels[border] = cluster
+        cluster += 1
+    return labels
+
+
+def _unique_rows_fuse(point_lists, voxel=FUSE_VOXEL):
+    """Voxel fusion on np.unique(axis=0) of the integer voxel triples."""
+    nonempty = [np.asarray(p, dtype=float).reshape(-1, 3) for p in point_lists]
+    nonempty = [p for p in nonempty if len(p)]
+    if not nonempty:
+        return np.empty((0, 3))
+    pts = canonical_order(np.concatenate(nonempty))
+    keys = np.floor(pts / voxel).astype(np.int64)
+    _, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    sums = np.zeros((len(counts), 3))
+    np.add.at(sums, inverse.reshape(-1), pts)
+    return canonical_order(sums / counts[:, None])
+
+
+def _assert_dbscan_matches_dense(pts, params):
+    assert np.array_equal(dbscan_filter(pts, params), _dense_dbscan_filter(pts, params))
+    assert np.array_equal(dbscan_labels(pts, params), _dense_dbscan_labels(pts, params))
+
+
+_coord = st.floats(-0.1, 0.1, allow_nan=False, allow_infinity=False)
+_cloud = st.lists(st.tuples(_coord, _coord, _coord), min_size=1, max_size=120)
+_params = st.builds(DbscanParams, eps=st.floats(0.005, 0.08), min_pts=st.integers(1, 8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cloud=_cloud, params=_params)
+def test_grid_dbscan_equals_dense_on_random_clouds(cloud, params):
+    _assert_dbscan_matches_dense(np.array(cloud), params)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cloud=_cloud, picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=60),
+       params=_params)
+def test_grid_dbscan_equals_dense_with_duplicate_points(cloud, picks, params):
+    pts = np.array(cloud)
+    pts = np.concatenate([pts, pts[[k % len(pts) for k in picks]]])
+    _assert_dbscan_matches_dense(pts, params)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    steps=st.lists(st.tuples(*[st.integers(-4, 4)] * 3), min_size=1, max_size=80),
+    eps=st.sampled_from([2.0**-5, 0.008, 0.01, 0.02, 0.03]),
+    origin=st.sampled_from([0.0, -(2.0**-55), -0.37, 1e3, 1e6]),
+    min_pts=st.integers(1, 7),
+)
+def test_grid_dbscan_equals_dense_on_an_eps_lattice(steps, eps, origin, min_pts):
+    # Lattice neighbours sit exactly at (or one rounding off) distance eps;
+    # the tiny negative origin puts pairs exactly eps apart across a cell
+    # boundary at zero.
+    pts = origin + eps * np.array(steps, dtype=float)
+    _assert_dbscan_matches_dense(pts, DbscanParams(eps=eps, min_pts=min_pts))
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_pair_exactly_eps_apart_across_a_cell_boundary_is_kept(axis):
+    eps = 2.0**-5
+    pts = np.zeros((2, 3))
+    pts[:, axis] = [-(2.0**-55), eps - 2.0**-55]  # both exact; difference is eps
+    params = DbscanParams(eps=eps, min_pts=2)
+    _assert_dbscan_matches_dense(pts, params)
+    assert len(dbscan_filter(pts, params)) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    views=st.lists(st.lists(st.tuples(_coord, _coord, _coord), max_size=60), max_size=4),
+    voxel=st.sampled_from([FUSE_VOXEL, 0.02, 1e-6, 2.0**-6, 0.5]),
+    dup=st.booleans(),
+)
+def test_packed_fuse_equals_unique_rows(views, voxel, dup):
+    point_lists = [np.array(v, dtype=float).reshape(-1, 3) for v in views]
+    if dup:  # every point twice: voxels with several members
+        point_lists = point_lists + [p.copy() for p in point_lists]
+    assert np.array_equal(fuse_views(point_lists, voxel), _unique_rows_fuse(point_lists, voxel))
+
+
+@settings(max_examples=50, deadline=None)
+@given(magnitude=st.floats(1e7, 1e300), eps=st.floats(0.005, 0.08))
+def test_cell_keys_that_would_overflow_int64_raise(magnitude, eps):
+    pts = np.array([[-magnitude] * 3, [magnitude] * 3])
+    with pytest.raises(ValueError, match="overflow int64"):
+        fuse_views([pts])
+    with pytest.raises(ValueError, match="overflow int64"):
+        dbscan_filter(pts, DbscanParams(eps=eps, min_pts=1))
+
+
+def test_overflow_error_names_span_and_cell_size():
+    pts = np.array([[0.0, 0.0, 0.0], [1e20, 1e20, 1e20]])
+    with pytest.raises(ValueError, match=r"cells of 0\.005 m"):
+        fuse_views([pts])
 
 
 def test_dbscan_params_validated():
