@@ -65,7 +65,6 @@ def refine_name(raw: str) -> str | None:
     kept = []
     for tok in tokens:
         tok = _DIGITS.sub("", tok)
-        tok = _DIGITS.sub("", tok)  # strip again in case both ends had digits
         if not tok or tok in _NOISE_TOKENS:
             continue
         kept.append(tok)

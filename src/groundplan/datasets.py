@@ -137,7 +137,7 @@ def extract_keysteps(trace: EpisodeTrace) -> list[int]:
     """Trace step indices at which a new subplan was issued and executed."""
     if not trace.steps:
         raise ValueError("cannot extract keysteps from an empty trace")
-    return trace.keystep_indices()
+    return [s.index for s in trace.steps if s.keystep]
 
 
 def _records_from_trace(trace: EpisodeTrace, episode_id: str) -> list[KeystepRecord]:
@@ -377,7 +377,6 @@ def _run_oracle_episodes(
     episodes_per_variation: int,
     seed: int,
     rig: CameraRig | None,
-    chunk: int = 5,
 ) -> dict[str, list[EpisodeTrace]]:
     rig = default_rig() if rig is None else rig
     traces: dict[str, list[EpisodeTrace]] = {}
@@ -386,18 +385,13 @@ def _run_oracle_episodes(
         for ei in range(episodes_per_variation):
             ep_seed = dataset_episode_seed(seed, vi, ei)
             trace = run_episode(
-                task, ep_seed, oracle_factory, chunk=chunk, rig=rig, store_views=True
+                task, ep_seed, oracle_factory, chunk=5, rig=rig, store_views=True
             )
             if not trace.success:
                 raise RuntimeError(
                     f"oracle episode failed: task {task.key} seed {ep_seed} "
                     f"({trace.terminal})"
                 )
-            # Only keystep views are written; drop the rest now rather than
-            # hold every step's views until the dataset is written.
-            for step in trace.steps:
-                if not step.keystep:
-                    step.views = step.cameras = None
             per.append(trace)
         traces[task.key] = per
     return traces

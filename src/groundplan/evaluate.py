@@ -155,14 +155,8 @@ def score_keystep(rec, planner: Planner) -> KeystepScore:
     )
 
 
-def eval_offline(dataset, planner: Planner) -> OfflineResult:
-    """Evaluate a planner over a plan dataset directory or record list."""
-    if isinstance(dataset, str):
-        from .datasets import read_dataset
-
-        _, records = read_dataset(dataset)
-    else:
-        records = list(dataset)
+def eval_offline(records, planner: Planner) -> OfflineResult:
+    """Evaluate a planner over the records of a plan dataset."""
     rows = [score_keystep(rec, planner) for rec in records]
     rows.sort(key=lambda r: (r.episode, r.keystep))
     groups: dict[str, GroupMetrics] = {}

@@ -30,8 +30,6 @@ from .geometry import (
 from .planlang import (
     GroundedPlan,
     PlanParseError,
-    PromptSpec,
-    build_prompt,
     history_text,
     parse_plan,
 )
@@ -248,7 +246,6 @@ class TraceStep:
 
     index: int
     keystep: bool
-    prompt: str
     raw_text: str
     error: str | None
     plan: GroundedPlan | None
@@ -256,7 +253,6 @@ class TraceStep:
     motion: list[MotionStep]
     gripper_position: tuple[float, float, float]
     gripper_held: int | None
-    object_positions: dict[int, tuple[float, float, float]]
     history_before: tuple[str, ...]
     views: ViewSet | None = None
     cameras: list | None = None  # posed rig cameras used for this render
@@ -280,9 +276,6 @@ class EpisodeTrace:
     def success(self) -> bool:
         return self.terminal == "success"
 
-    def keystep_indices(self) -> list[int]:
-        return [s.index for s in self.steps if s.keystep]
-
 
 def _plan_signature(plan: GroundedPlan) -> tuple:
     from .planlang import normalize_text
@@ -302,11 +295,15 @@ def run_episode(
     grounding: GroundingConfig = GroundingConfig(),
     store_views: bool = False,
 ) -> EpisodeTrace:
-    """Run one closed-loop episode; deterministic given all arguments."""
+    """Run one closed-loop episode; deterministic given all arguments.
+
+    With store_views, each keystep step keeps the views its plan was made
+    from and the posed cameras that rendered them; other steps keep neither.
+    """
     if chunk < 1:
         raise ValueError("chunk size must be >= 1")
     rig = default_rig() if rig is None else rig
-    sim = Simulation.sample(task, seed, rig)
+    sim = Simulation.sample(task, seed)
     planner = planner_factory(EpisodeContext(sim=sim, task=task, seed=seed))
     trace = EpisodeTrace(
         task_key=task.key,
@@ -316,30 +313,19 @@ def run_episode(
         chunk=chunk,
         inventory=sim.inventory(),
     )
-    history: list[str] = []
+    history = trace.history
     last_executed: tuple | None = None
-
     try:
-        if sim.success():
-            trace.terminal = "success"
-            return trace
+        terminal = "success" if sim.success() else None
     except PredicateError:
-        return trace
+        terminal = "failure"
 
-    while trace.motion_steps < MAX_STEPS:
+    while terminal is None and trace.motion_steps < MAX_STEPS:
         posed_rig = rig.posed(sim.gripper.position)
         views = render_views(sim.scene, posed_rig)
-        prompt = build_prompt(PromptSpec(
-            num_views=rig.num_views,
-            instruction=task.instruction,
-            history=tuple(history),
-        ))
+        history_before = tuple(history)
         plan = None
-        steps: list[MotionStep] = []
-        error: str | None = None
-        raw_text = ""
         cloud_counts: dict[str, int] = {}
-        last_error_kind = "failure"
         for _ in range(PARSE_RETRIES):
             raw_text, stacks = planner.plan(
                 task.instruction, views, list(history), trace.inventory
@@ -348,63 +334,48 @@ def run_episode(
             try:
                 plan = parse_plan(raw_text, stacks)
             except PlanParseError as e:
-                error = f"{type(e).__name__}: {e}"
-                last_error_kind = "parse-failure-exhausted"
-                plan = None
+                error, failure = f"{type(e).__name__}: {e}", "parse-failure-exhausted"
                 continue
             cloud = ground_plan(plan, views, posed_rig, sim.gripper, grounding)
-            cloud_counts = cloud.counts()
             try:
                 steps = motion_policy(plan, cloud, sim.gripper)
-                error = None
-                break
             except NoTargetPointsError as e:
-                error = f"NoTargetPoints: {e}"
-                last_error_kind = "failure"
-                plan = None
-        if plan is None:
-            trace.steps.append(TraceStep(
-                index=len(trace.steps), keystep=False, prompt=prompt,
-                raw_text=raw_text, error=error, plan=None, cloud_counts={},
-                motion=[], gripper_position=tuple(sim.gripper.position),
-                gripper_held=sim.gripper.held, object_positions={},
-                history_before=tuple(history),
-                views=views if store_views else None,
-                cameras=list(posed_rig.cameras) if store_views else None,
-            ))
-            trace.terminal = last_error_kind
-            trace.history = history
-            return trace
+                error, failure, plan = f"NoTargetPoints: {e}", "failure", None
+                continue
+            error, cloud_counts = None, cloud.counts()
+            break
 
-        if not steps:
-            steps = [translate(0.0, 0.0, 0.0)]  # consume budget; never spin
-        signature = _plan_signature(plan)
-        keystep = signature != last_executed
+        keystep = False
         executed: list[MotionStep] = []
-        history_before = tuple(history)
-        succeeded = False
-        fatal = False
-        for motion in steps[: min(chunk, len(steps))]:
-            if trace.motion_steps >= MAX_STEPS:
-                break
-            sim.step(motion)
-            trace.motion_steps += 1
-            executed.append(motion)
-            if len(executed) == 1:
-                history.append(history_text(plan))
-                last_executed = signature
-            try:
-                if sim.success():
-                    succeeded = True
+        if plan is None:
+            terminal = failure
+        else:
+            # The loop guard leaves budget for this plan's first motion, so
+            # the plan always executes and enters the history here.
+            signature = _plan_signature(plan)
+            keystep = signature != last_executed
+            last_executed = signature
+            history.append(history_text(plan))
+            if not steps:
+                steps = [translate(0.0, 0.0, 0.0)]  # consume budget; never spin
+            for motion in steps[:chunk]:
+                if trace.motion_steps >= MAX_STEPS:
                     break
-            except PredicateError:
-                fatal = True  # broken predicate counts as episode failure
-                break
+                sim.step(motion)
+                trace.motion_steps += 1
+                executed.append(motion)
+                try:
+                    if sim.success():
+                        terminal = "success"
+                        break
+                except PredicateError:
+                    terminal = "failure"  # broken predicate counts as episode failure
+                    break
 
+        keep_views = store_views and keystep
         trace.steps.append(TraceStep(
             index=len(trace.steps),
-            keystep=keystep and bool(executed),
-            prompt=prompt,
+            keystep=keystep,
             raw_text=raw_text,
             error=error,
             plan=plan,
@@ -412,20 +383,12 @@ def run_episode(
             motion=executed,
             gripper_position=tuple(sim.gripper.position),
             gripper_held=sim.gripper.held,
-            object_positions={
-                o.id: tuple(o.position) for o in sim.scene.objects
-            },
             history_before=history_before,
-            views=views if store_views else None,
-            cameras=list(posed_rig.cameras) if store_views else None,
+            views=views if keep_views else None,
+            cameras=list(posed_rig.cameras) if keep_views else None,
         ))
-        if succeeded:
-            trace.terminal = "success"
-            break
-        if fatal:
-            break
 
-    trace.history = history
+    trace.terminal = terminal or "failure"  # None here: the step budget ran out
     return trace
 
 

@@ -103,12 +103,6 @@ class OraclePlanner:
         got = scan(self.task.success)
         return 0.99 if got is None else got
 
-    def _hover_target(self, obj_role: str, loc_role: str) -> np.ndarray:
-        scene = self.sim.scene
-        obj = scene.role_object(obj_role)
-        loc = scene.role_object(loc_role)
-        return loc.position + np.array([0.0, 0.0, loc.height() / 2.0 + obj.height()])
-
     def _subplan_done(self, idx: int, history: list[str]) -> bool:
         slot = self.task.plan[idx]
         scene, gripper = self.sim.scene, self.sim.gripper
@@ -221,13 +215,6 @@ class ReplayPlanner:
             stacks = [ref.masks for _, ref in rec.gt_plan.references()]
             outputs[key] = (rec.plan_text, stacks)
         return cls(outputs)
-
-    @classmethod
-    def from_dataset(cls, dataset_dir: str) -> "ReplayPlanner":
-        from .datasets import read_dataset
-
-        _, records = read_dataset(dataset_dir)
-        return cls.from_records(records)
 
     def plan(self, instruction, views, history, inventory) -> PlannerOutput:
         key = _call_key(instruction, list(history), views)

@@ -307,13 +307,6 @@ class CameraRig:
         if len(self.cameras) < 1:
             raise ValueError("a rig needs at least one camera")
 
-    @property
-    def num_views(self) -> int:
-        return len(self.cameras)
-
-    def roles(self) -> list[str]:
-        return [c.role for c in self.cameras]
-
     def posed(self, gripper_position) -> "CameraRig":
         """Rig with any wrist camera re-aimed at the current gripper pose.
 

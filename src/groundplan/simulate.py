@@ -318,23 +318,17 @@ def step_motion(
 class Simulation:
     """Owns one episode's mutable scene + gripper; everything else is shared."""
 
-    def __init__(self, scene: Scene, task: TaskScript, rig, gripper: GripperState | None = None):
+    def __init__(self, scene: Scene, task: TaskScript, gripper: GripperState | None = None):
         self.scene = scene.copy()
         self.task = task
-        self.rig = rig
         self.gripper = gripper.copy() if gripper else GripperState(position=np.array(GRIPPER_HOME))
 
     @classmethod
-    def sample(cls, task: TaskScript, seed: int, rig) -> "Simulation":
-        return cls(sample_scene(task, seed), task, rig)
+    def sample(cls, task: TaskScript, seed: int) -> "Simulation":
+        return cls(sample_scene(task, seed), task)
 
     def step(self, motion: MotionStep) -> None:
         self.scene, self.gripper = step_motion(self.scene, self.gripper, motion)
-
-    def render(self):
-        from .render import render_views
-
-        return render_views(self.scene, self.rig.posed(self.gripper.position))
 
     def success(self) -> bool:
         return check_success(self.scene, self.gripper, self.task)

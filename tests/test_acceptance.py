@@ -93,8 +93,9 @@ def offline_dataset(tmp_path_factory, suite):
 
 def test_criterion_1_offline_oracle_upper_bound(offline_dataset):
     start = time.perf_counter()
-    planner = ReplayPlanner.from_dataset(offline_dataset)
-    result = eval_offline(offline_dataset, planner)
+    _, records = read_dataset(offline_dataset)
+    planner = ReplayPlanner.from_records(records)
+    result = eval_offline(records, planner)
     elapsed = time.perf_counter() - start
     exact = all(
         m.act == 100.0 and m.obj == 100.0 and m.grd == 100.0

@@ -46,8 +46,9 @@ def plan_dataset(tmp_path_factory, suite):
 
 
 def test_oracle_scores_perfect(plan_dataset):
-    planner = ReplayPlanner.from_dataset(plan_dataset)
-    result = eval_offline(plan_dataset, planner)
+    _, records = read_dataset(plan_dataset)
+    planner = ReplayPlanner.from_records(records)
+    result = eval_offline(records, planner)
     for metrics in result.groups.values():
         assert metrics.act == 100.0
         assert metrics.obj == 100.0
@@ -55,7 +56,8 @@ def test_oracle_scores_perfect(plan_dataset):
 
 
 def test_malformed_planner_scores_zero(plan_dataset):
-    result = eval_offline(plan_dataset, MalformedPlanner())
+    _, records = read_dataset(plan_dataset)
+    result = eval_offline(records, MalformedPlanner())
     for metrics in result.groups.values():
         assert metrics.act == 0.0
         assert metrics.obj == 0.0
@@ -119,8 +121,9 @@ def test_report_empty_results_header_only():
 
 
 def test_json_report_is_fixed_point(plan_dataset):
-    planner = ReplayPlanner.from_dataset(plan_dataset)
-    result = eval_offline(plan_dataset, planner)
+    _, records = read_dataset(plan_dataset)
+    planner = ReplayPlanner.from_records(records)
+    result = eval_offline(records, planner)
     rendered = render_report(result, "json")
     back = result_from_json(json.loads(rendered))
     assert render_report(back, "json") == rendered

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from groundplan.datasets import extract_keysteps
 from groundplan.executor import (
     GroundingConfig,
     NoTargetPointsError,
@@ -35,6 +36,14 @@ def full_masks(k=2, shape=(8, 8)):
 
 def grasp_plan(text="red block"):
     return GroundedPlan("grasp", object=GroundedReference(text, full_masks()))
+
+
+class EmptyMaskPlanner:
+    """Names a graspable object whose masks are empty in every view."""
+
+    def plan(self, instruction, views, history, inventory):
+        empty = [np.zeros(v.ids.shape, dtype=bool) for v in views]
+        return "Grasp <p> red block </p><seg>.", [empty]
 
 
 # -- motion policy ----------------------------------------------------------------
@@ -113,7 +122,7 @@ def test_motion_policy_reaches_estimate_in_simulator(suite, small_rig):
     from groundplan.render import render_views
 
     task = suite[0]
-    sim = Simulation.sample(task, 5, small_rig)
+    sim = Simulation.sample(task, 5)
     target = sim.scene.role_object("target")
     sim.gripper.position = target.position + np.array([0.1, 0.05, 0.1])
     planner = OraclePlanner(sim, task)
@@ -185,13 +194,24 @@ def test_zero_probability_corruption_equals_oracle(suite, small_rig):
     assert base.terminal == wrapped.terminal
 
 
-def test_persistent_malformed_exhausts_parse_retries(suite, small_rig):
-    cfg = CorruptionConfig(p_malformed=1.0, seed=0)
-    factory = corrupt(oracle_factory, cfg)
-    trace = run_episode(suite[0], 1, factory, chunk=5, rig=small_rig)
-    assert trace.terminal == "parse-failure-exhausted"
+@pytest.mark.parametrize("factory, terminal, error", [
+    (corrupt(oracle_factory, CorruptionConfig(p_malformed=1.0, seed=0)),
+     "parse-failure-exhausted", "MalformedMarkup:"),
+    (lambda ctx: EmptyMaskPlanner(), "failure", "NoTargetPoints:"),
+], ids=["malformed", "empty-masks"])
+def test_persistent_malformed_exhausts_parse_retries(suite, small_rig, factory, terminal, error):
+    trace = run_episode(suite[0], 1, factory, chunk=5, rig=small_rig, store_views=True)
+    assert trace.terminal == terminal
     assert trace.planner_calls == 3
     assert trace.motion_steps == 0
+    [step] = trace.steps
+    assert step.keystep is False
+    assert step.plan is None
+    assert step.motion == []
+    assert step.cloud_counts == {}
+    assert step.views is None and step.cameras is None
+    assert step.history_before == ()
+    assert step.error.startswith(error)
 
 
 def test_success_implies_predicate_holds(suite, small_rig):
@@ -201,7 +221,7 @@ def test_success_implies_predicate_holds(suite, small_rig):
     trace = run_episode(task, 2, oracle_factory, chunk=5, rig=small_rig)
     assert trace.success
     # Replay the episode motion against a fresh simulation and re-check.
-    sim = Simulation.sample(task, 2, small_rig)
+    sim = Simulation.sample(task, 2)
     for step in trace.steps:
         for m in step.motion:
             sim.step(m)
@@ -210,7 +230,7 @@ def test_success_implies_predicate_holds(suite, small_rig):
 
 def test_keystep_flags_mark_new_subplans(suite, small_rig):
     trace = run_episode(suite[2], 4, oracle_factory, chunk=5, rig=small_rig)
-    indices = trace.keystep_indices()
+    indices = extract_keysteps(trace)
     assert indices[0] == 0
     assert indices == sorted(set(indices))
     texts = [trace.steps[i].raw_text for i in indices]
@@ -226,3 +246,54 @@ def test_trace_jsonl_roundtrip(tmp_path, suite, small_rig):
     assert len(lines) - 1 == len(trace.steps)
     summary = summarize_trace_file(str(path))
     assert "terminal=success" in summary
+
+
+# -- golden trace -----------------------------------------------------------------
+
+
+def _golden_arms():
+    from groundplan.geometry import DbscanParams
+    from groundplan.planners import with_mask_noise
+
+    noisy = corrupt(
+        with_mask_noise(oracle_factory, 0.2, seed=3),
+        CorruptionConfig(p_wrong_object=0.3, p_malformed=0.1, transient=True, seed=11),
+    )
+    dbscan = GroundingConfig(dbscan_enabled=True, dbscan=DbscanParams(eps=0.008, min_pts=5))
+    return [
+        (oracle_factory, 5, GroundingConfig()),
+        (oracle_factory, 1, GroundingConfig()),
+        (corrupt(oracle_factory, CorruptionConfig(p_malformed=1.0, seed=0)), 5, GroundingConfig()),
+        (noisy, 5, dbscan),
+        (lambda ctx: EmptyMaskPlanner(), 5, GroundingConfig()),
+    ]
+
+
+# sha256 over the trace_to_jsonl bytes and keystep ViewSet digests of the
+# panel below. It pins every serialized trace field for all three
+# terminals, so a change to the episode loop that alters any output fails.
+GOLDEN_TRACE_DIGEST = "a1481de4b1b8c0cc480d82a26de79ae0b8aa4a21a0bf0aa319d1e0b2a93d0e89"
+
+
+def test_golden_trace_digest(tmp_path, suite):
+    import hashlib
+
+    from groundplan.scene import default_rig
+
+    rig = default_rig(96)
+    path = tmp_path / "trace.jsonl"
+    h = hashlib.sha256()
+    terminals = set()
+    for factory, chunk, grounding in _golden_arms():
+        for task in suite:
+            for seed in (1, 2):
+                trace = run_episode(task, seed, factory, chunk=chunk, rig=rig,
+                                    grounding=grounding, store_views=True)
+                terminals.add(trace.terminal)
+                trace_to_jsonl(trace, str(path))
+                h.update(path.read_bytes())
+                for step in trace.steps:
+                    if step.keystep:
+                        h.update(step.views.digest().encode())
+    assert terminals == {"success", "failure", "parse-failure-exhausted"}
+    assert h.hexdigest() == GOLDEN_TRACE_DIGEST

@@ -14,6 +14,7 @@ from groundplan.planners import (
     corrupt,
     oracle_factory,
 )
+from groundplan.render import render_views
 from groundplan.scene import View, ViewSet
 from groundplan.simulate import Simulation
 
@@ -132,9 +133,9 @@ def test_corrupted_factory_reproducible(suite, small_rig):
     task = suite[0]
 
     def run_once():
-        sim = Simulation.sample(task, 3, small_rig)
+        sim = Simulation.sample(task, 3)
         planner = factory(EpisodeContext(sim=sim, task=task, seed=3))
-        views = sim.render()
+        views = render_views(sim.scene, small_rig.posed(sim.gripper.position))
         return [planner.plan(task.instruction, views, [], sim.inventory())[0]
                 for _ in range(6)]
 
@@ -146,9 +147,9 @@ def test_corrupted_factory_reproducible(suite, small_rig):
 
 def test_oracle_output_parses_with_id_derived_masks(suite, small_rig):
     for task in suite[:4]:
-        sim = Simulation.sample(task, 1, small_rig)
+        sim = Simulation.sample(task, 1)
         planner = OraclePlanner(sim, task)
-        views = sim.render()
+        views = render_views(sim.scene, small_rig.posed(sim.gripper.position))
         text, stacks = planner.plan(task.instruction, views, [], sim.inventory())
         plan = parse_plan(text, stacks)
         assert plan.action == task.plan[0].action
@@ -163,7 +164,7 @@ def test_oracle_output_parses_with_id_derived_masks(suite, small_rig):
 
 def test_oracle_emits_release_when_holding_wrong_object(suite, small_rig):
     task = suite[0]
-    sim = Simulation.sample(task, 2, small_rig)
+    sim = Simulation.sample(task, 2)
     distractor = [o for o in sim.scene.objects if "distractor" in o.raw_name][0]
     sim.gripper.position = distractor.position.copy()
     from groundplan.simulate import close_gripper
@@ -171,7 +172,10 @@ def test_oracle_emits_release_when_holding_wrong_object(suite, small_rig):
     sim.step(close_gripper())
     assert sim.gripper.held == distractor.id
     planner = OraclePlanner(sim, task)
-    text, _ = planner.plan(task.instruction, sim.render(), [], sim.inventory())
+    text, _ = planner.plan(
+        task.instruction, render_views(sim.scene, small_rig.posed(sim.gripper.position)),
+        [], sim.inventory(),
+    )
     assert text == "Release."
 
 
