@@ -222,14 +222,49 @@ def _id_maps_to_json(views: ViewSet) -> list:
     return out
 
 
-def _views_from_json(id_maps: list, depth_files: list[str], root: str,
-                     shape: tuple[int, int]) -> ViewSet:
+def _resolver(data_dir: str):
+    """inside(name, json_path, field) -> data_dir/name, or a DatasetReadError if
+    os.path.realpath of it is not below data_dir. It resolves each directory once
+    and a file only if it is a symlink; realpath per file walks the whole path."""
+    root = os.path.realpath(data_dir)
+    below = os.path.join(root, "")
+    real_dirs: dict[str, str] = {}
+
+    def inside(name: str, json_path: str, field: str) -> str:
+        path = os.path.join(root, name)
+        head, tail = os.path.split(path)
+        if head not in real_dirs:
+            real_dirs[head] = os.path.realpath(head)
+        real = os.path.normpath(os.path.join(real_dirs[head], tail))
+        if os.path.islink(real):
+            real = os.path.realpath(real)
+        if not real.startswith(below):
+            raise DatasetReadError(json_path, 0, f"{field} {name!r} escapes the dataset directory")
+        return path
+
+    return inside
+
+
+def _views_from_json(id_maps: list, depth_files: list[str], cameras: list[CameraModel],
+                     inside, json_path: str) -> ViewSet:
+    for field, entries in (("depth_files", depth_files), ("id_maps", id_maps)):
+        if len(entries) != len(cameras):
+            raise DatasetReadError(
+                json_path, 0, f"{field} has {len(entries)} entries for {len(cameras)} cameras")
     views = []
-    for per_cam, depth_file in zip(id_maps, depth_files):
-        depth = read_depth(os.path.join(root, depth_file))
+    for i, (per_cam, depth_file, cam) in enumerate(zip(id_maps, depth_files, cameras)):
+        depth = read_depth(inside(depth_file, json_path, f"depth_files[{i}]"))
+        shape = (cam.height, cam.width)
+        if depth.shape != shape:
+            raise DatasetReadError(
+                json_path, 0, f"depth_files[{i}] {depth_file!r} is {depth.shape[1]}x"
+                f"{depth.shape[0]}, its camera {cam.width}x{cam.height}")
         ids = np.zeros(shape, dtype=np.int32)
-        for oid, runs in per_cam:
-            ids[rle_decode(runs, shape)] = oid
+        try:
+            for oid, runs in per_cam:
+                ids[rle_decode(runs, shape)] = oid
+        except ValueError as e:
+            raise DatasetReadError(json_path, 0, f"id_maps[{i}]: {e}") from e
         views.append(View(depth=depth, ids=ids))
     return ViewSet(views)
 
@@ -267,10 +302,9 @@ def _record_to_json(rec) -> dict:
     return base
 
 
-def _record_from_json(d: dict, root: str):
+def _record_from_json(d: dict, inside, path: str):
     cameras = [_camera_from_json(c) for c in d["cameras"]]
-    shape = (cameras[0].height, cameras[0].width)
-    views = _views_from_json(d["id_maps"], d["depth_files"], root, shape)
+    views = _views_from_json(d["id_maps"], d["depth_files"], cameras, inside, path)
     inventory = [(int(oid), name) for oid, name in d["inventory"]]
     if d["kind"] in ("plan", "long"):
         return KeystepRecord(
@@ -354,11 +388,12 @@ def _read_json(path: str, parse):
 def read_dataset(data_dir: str) -> tuple[DatasetManifest, list]:
     manifest_path = os.path.join(data_dir, "manifest.json")
     manifest = _read_json(manifest_path, DatasetManifest.from_json)
-    records = [
-        _read_json(os.path.join(data_dir, name), lambda d: _record_from_json(d, data_dir))
-        for name in manifest.files
-        if name.startswith("records/")
-    ]
+    inside = _resolver(data_dir)
+    records = []
+    for i, name in enumerate(manifest.files):
+        if name.startswith("records/"):
+            path = inside(name, manifest_path, f"files[{i}]")
+            records.append(_read_json(path, lambda d: _record_from_json(d, inside, path)))
     counted = sum(manifest.counts.values())
     if counted != len(records):
         raise DatasetReadError(

@@ -299,6 +299,8 @@ def run_episode(
 
     With store_views, each keystep step keeps the views its plan was made
     from and the posed cameras that rendered them; other steps keep neither.
+    Views are read-only, and steps whose cameras and scene did not change
+    share the same `View` objects.
     """
     if chunk < 1:
         raise ValueError("chunk size must be >= 1")
@@ -315,6 +317,7 @@ def run_episode(
     )
     history = trace.history
     last_executed: tuple | None = None
+    memo: dict = {}  # each camera's last view; render_views reuses it while unchanged
     try:
         terminal = "success" if sim.success() else None
     except PredicateError:
@@ -322,7 +325,7 @@ def run_episode(
 
     while terminal is None and trace.motion_steps < MAX_STEPS:
         posed_rig = rig.posed(sim.gripper.position)
-        views = render_views(sim.scene, posed_rig)
+        views = render_views(sim.scene, posed_rig, memo)
         history_before = tuple(history)
         plan = None
         cloud_counts: dict[str, int] = {}

@@ -5,6 +5,11 @@ along the camera z axis, which is exactly the value stored in the depth map.
 Each object is pruned to the pixel rectangle covered by its projected
 bounding sphere before per-ray intersection, so cost scales with covered
 pixels rather than image area.
+
+Rendered depth and id maps are read-only. Within one episode the executor
+passes a memo to `render_views`, which then reuses a camera's previous
+`View` when the camera and every primitive are byte-equal to the last
+render; a view is a pure function of both, so reuse is bit-exact.
 """
 
 from __future__ import annotations
@@ -156,6 +161,14 @@ def _pixel_rect(cam: CameraModel, center: np.ndarray, radius: float):
     return u0, u1, v0, v1
 
 
+def _primitives_key(prims: list[tuple[int, object]]) -> tuple:
+    """Byte snapshot of render parts, so that editing a scene in place changes the key."""
+    return tuple(
+        (oid, kind, *(np.asarray(f, dtype=float).tobytes() for f in fields))
+        for oid, (kind, *fields) in prims
+    )
+
+
 def render_camera(scene: Scene, cam: CameraModel) -> View:
     depth = np.full((cam.height, cam.width), np.inf)
     ids = np.zeros((cam.height, cam.width), dtype=np.int32)
@@ -184,9 +197,32 @@ def render_camera(scene: Scene, cam: CameraModel) -> View:
             window_i[closer] = oid
     background = ~np.isfinite(depth)
     depth[background] = 0.0
-    return View(depth=depth.astype(np.float32), ids=ids)
+    depth = depth.astype(np.float32)
+    depth.flags.writeable = False
+    ids.flags.writeable = False
+    return View(depth=depth, ids=ids)
 
 
-def render_views(scene: Scene, rig: CameraRig) -> ViewSet:
-    """Render every rig camera. Pure function of (scene, rig)."""
-    return ViewSet([render_camera(scene, cam) for cam in rig.cameras])
+def render_views(scene: Scene, rig: CameraRig, memo: dict | None = None) -> ViewSet:
+    """Render every rig camera. Pure function of (scene, rig).
+
+    With a memo (one dict per episode, passed on every call), a camera whose
+    intrinsics, pose and primitives are all byte-equal to its last render
+    gets that render's read-only `View` back instead of a new ray cast. The
+    memo then holds only this call's views, at most one per camera.
+    """
+    if memo is None:
+        return ViewSet([render_camera(scene, cam) for cam in rig.cameras])
+    prims_key = _primitives_key(_primitives(scene))
+    views, fresh = [], {}
+    for cam in rig.cameras:
+        key = (cam.fx, cam.fy, cam.cx, cam.cy, cam.width, cam.height,
+               cam.rotation.tobytes(), cam.translation.tobytes(), prims_key)
+        view = memo.get(key)
+        if view is None:
+            view = render_camera(scene, cam)
+        fresh[key] = view
+        views.append(view)
+    memo.clear()
+    memo.update(fresh)
+    return ViewSet(views)

@@ -6,9 +6,12 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groundplan.datasets import (
     DatasetReadError,
+    _resolver,
     _run_oracle_episodes,
     extract_keysteps,
     gen_long_dataset,
@@ -377,3 +380,101 @@ def test_missing_field_reports_file_and_field(tmp_path, suite, small_rig, capsys
     assert f"missing field '{field}'" in str(err.value)
     assert main(["eval-offline", "--data", str(tmp_path)]) == 1
     assert f"missing field '{field}'" in capsys.readouterr().err
+
+
+# -- untrusted paths and shapes ------------------------------------------------------
+
+
+def _copy_depth_outside(rec, data):
+    outside = data.parent / "outside.bin"
+    outside.write_bytes((data / rec["depth_files"][0]).read_bytes())
+    return outside
+
+
+def _relative_escape(rec, data):
+    _copy_depth_outside(rec, data)
+    rec["depth_files"][0] = "../outside.bin"
+
+
+def _absolute_escape(rec, data):
+    rec["depth_files"][0] = str(_copy_depth_outside(rec, data))
+
+
+def _symlink_escape(rec, data):
+    outside = _copy_depth_outside(rec, data)
+    os.remove(data / rec["depth_files"][0])
+    os.symlink(outside, data / rec["depth_files"][0])
+
+
+def _wrong_resolution(rec, data):
+    write_depth(str(data / rec["depth_files"][1]), np.zeros((8, 8), dtype=np.float32))
+
+
+def _bad_runs(rec, data):
+    rec["id_maps"][1][0][1][0] += 1
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_relative_escape, "depth_files[0] '../outside.bin' escapes the dataset directory"),
+    (_absolute_escape, "escapes the dataset directory"),
+    (_symlink_escape, "escapes the dataset directory"),
+    (lambda rec, data: rec["depth_files"].pop(), "depth_files has 1 entries for 2 cameras"),
+    (lambda rec, data: rec["id_maps"].pop(), "id_maps has 1 entries for 2 cameras"),
+    (_wrong_resolution, "depth_files[1] "),
+    (_bad_runs, "id_maps[1]: run lengths sum to"),
+], ids=["depth-relative-escape", "depth-absolute-escape", "depth-symlink-escape",
+        "depth-files-short",
+        "id-maps-short", "depth-resolution", "id-map-runs"])
+def test_malformed_record_reports_file_and_field(tmp_path, suite, small_rig, edit, message):
+    data = tmp_path / "data"
+    man = gen_plan_dataset(suite[:1], 1, 0, str(data), rig=small_rig)
+    name = [f for f in man.files if f.startswith("records/")][0]
+    rec = json.loads((data / name).read_text())
+    edit(rec, data)
+    (data / name).write_text(json.dumps(rec))
+    with pytest.raises(DatasetReadError) as err:
+        read_dataset(str(data))
+    assert name in str(err.value)
+    assert message in str(err.value)
+
+
+def test_manifest_record_name_must_stay_inside_the_dataset(tmp_path, suite, small_rig):
+    data = tmp_path / "data"
+    man = gen_plan_dataset(suite[:1], 1, 0, str(data), rig=small_rig)
+    i, name = next((i, f) for i, f in enumerate(man.files) if f.startswith("records/"))
+    (tmp_path / "outside.json").write_bytes((data / name).read_bytes())
+    payload = json.loads((data / "manifest.json").read_text())
+    payload["files"][i] = "records/../../outside.json"
+    (data / "manifest.json").write_text(json.dumps(payload))
+    with pytest.raises(DatasetReadError) as err:
+        read_dataset(str(data))
+    assert "manifest.json" in str(err.value)
+    assert f"files[{i}] 'records/../../outside.json' escapes the dataset directory" in str(err.value)
+
+
+def test_resolver_agrees_with_realpath(tmp_path):
+    data = tmp_path / "data"
+    (data / "records").mkdir(parents=True)
+    (data / "depth").mkdir()
+    (data / "depth" / "f.bin").write_bytes(b"")
+    (tmp_path / "outside.bin").write_bytes(b"")
+    os.symlink(tmp_path / "outside.bin", data / "depth" / "out_file")
+    os.symlink(data / "depth", data / "in_dir")
+    os.symlink(tmp_path, data / "out_dir")
+    root = os.path.realpath(data)
+    inside = _resolver(str(data))
+    parts = ["depth", "records", "in_dir", "out_dir", "out_file", "f.bin", "missing",
+             "..", ".", "", str(tmp_path / "outside.bin")]
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(parts), min_size=1, max_size=4))
+    def check(names):
+        name = "/".join(names)
+        real = os.path.realpath(os.path.join(root, name))
+        if os.path.commonpath([root, real]) == root and real != root:
+            assert inside(name, "manifest.json", "files[0]") == os.path.join(root, name)
+        else:
+            with pytest.raises(DatasetReadError):
+                inside(name, "manifest.json", "files[0]")
+
+    check()

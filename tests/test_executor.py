@@ -297,3 +297,37 @@ def test_golden_trace_digest(tmp_path, suite):
                         h.update(step.views.digest().encode())
     assert terminals == {"success", "failure", "parse-failure-exhausted"}
     assert h.hexdigest() == GOLDEN_TRACE_DIGEST
+
+
+@pytest.mark.parametrize("arm", range(4), ids=["oracle-chunk5", "oracle-chunk1",
+                                               "malformed", "noisy-dbscan"])
+def test_reused_frames_match_a_full_render_every_step(monkeypatch, suite, arm):
+    from groundplan import executor
+    from groundplan.render import render_views
+    from groundplan.scene import default_rig
+
+    renders, reused = 0, 0
+    prev: list = []
+
+    def checked(scene, rig, memo=None):
+        nonlocal renders, reused, prev
+        views = render_views(scene, rig, memo)
+        assert views.digest() == render_views(scene, rig).digest()
+        assert len(memo) <= len(rig.cameras)
+        renders += 1
+        reused += sum(v is p for v, p in zip(views, prev))
+        prev = list(views)
+        return views
+
+    monkeypatch.setattr(executor, "render_views", checked)
+    factory, chunk, grounding = _golden_arms()[arm]
+    episodes = 0
+    for task in suite:
+        for seed in (1, 2):
+            run_episode(task, seed, factory, chunk=chunk, rig=default_rig(96),
+                        grounding=grounding)
+            episodes += 1
+            prev = []
+    assert renders >= episodes
+    # Every planner call fails to parse, so each episode renders only once.
+    assert reused == 0 if arm == 2 else reused > 0
