@@ -20,9 +20,15 @@ from .scene import default_rig
 from .tasks import builtin_suite, load_suite
 
 
+# Every name `_setting` reads; each config key is spelled as its flag, less the "--".
+_CONFIG_FIELDS = (
+    "suite", "resolution", "episodes", "runs", "seed", "chunk", "planner",
+    "p-wrong-object", "p-wrong-action", "p-malformed", "corruption-seed", "sticky",
+    "mask-noise", "dbscan-filter", "dbscan-eps", "dbscan-min-pts",
+)
 # Config fields that switch something on; a string such as "false" would
 # read as true, so only JSON true and false are accepted.
-_BOOLEAN_FIELDS = ("sticky", "dbscan-filter", "dbscan_filter")
+_BOOLEAN_FIELDS = ("sticky", "dbscan-filter")
 
 
 def _load_config(path: str | None) -> dict:
@@ -35,6 +41,9 @@ def _load_config(path: str | None) -> dict:
             raise ValueError(f"{path} @ byte {e.pos}: {e.msg}") from e
     if not isinstance(config, dict):
         raise ValueError(f"{path}: config must be a JSON object")
+    for name in config:
+        if name not in _CONFIG_FIELDS:
+            raise ValueError(f"{path}: unknown field {name!r}")
     for name in _BOOLEAN_FIELDS:
         if name in config and not isinstance(config[name], bool):
             raise ValueError(f"{path}: {name} must be true or false")
@@ -56,12 +65,11 @@ def _suite_from(args, config) -> list:
 
 
 def _grounding_from(args, config) -> GroundingConfig:
-    dbs = config.get("dbscan", {})
     params = DbscanParams(
-        eps=_setting(args, config, "dbscan-eps", dbs.get("eps", 0.02)),
-        min_pts=int(_setting(args, config, "dbscan-min-pts", dbs.get("min_pts", 5))),
+        eps=_setting(args, config, "dbscan-eps", 0.02),
+        min_pts=int(_setting(args, config, "dbscan-min-pts", 5)),
     )
-    enabled = _setting(args, config, "dbscan-filter", config.get("dbscan_filter", False))
+    enabled = _setting(args, config, "dbscan-filter", False)
     return GroundingConfig(dbscan_enabled=enabled, dbscan=params)
 
 
@@ -132,7 +140,10 @@ def cmd_eval_offline(args, config) -> int:
     from .datasets import read_dataset
 
     cfg = _corruption_from(args, config)
-    _, records = read_dataset(args.data)
+    manifest, records = read_dataset(args.data)
+    if manifest.kind not in ("plan", "long"):
+        raise ValueError(f"{args.data}: eval-offline scores plan or long datasets, "
+                         f"not {manifest.kind!r}")
     planner = ReplayPlanner.from_records(records)
     if cfg is not None:
         planner = CorruptedPlanner(planner, cfg)
@@ -205,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("eval-offline", help="grounded-planning evaluation on a dataset")
-    p.add_argument("--data", required=True, help="plan dataset directory")
+    p.add_argument("--data", required=True, help="plan or long dataset directory")
     p.add_argument("--planner", choices=("oracle", "corrupted"))
     p.add_argument("--p-wrong-object", type=float, dest="p_wrong_object")
     p.add_argument("--p-wrong-action", type=float, dest="p_wrong_action")

@@ -24,16 +24,9 @@ class FilteredNameError(ValueError):
     """Raised when an object's raw name refines to nothing displayable."""
 
 
-def load_color_table(path: str | None = None) -> list[tuple[str, RGB]]:
-    """Load the 20-entry color table, in tie-breaking order.
-
-    Without a path, loads the canonical table shipped with the package.
-    """
-    if path is None:
-        raw = resources.files("groundplan.data").joinpath("colors.json").read_text()
-    else:
-        with open(path) as f:
-            raw = f.read()
+def load_color_table() -> list[tuple[str, RGB]]:
+    """Load the 20-entry color table shipped with the package, in tie-breaking order."""
+    raw = resources.files("groundplan.data").joinpath("colors.json").read_text()
     table = [(name, tuple(rgb)) for name, rgb in json.loads(raw)]
     names = [name for name, _ in table]
     if len(names) != len(set(names)):
@@ -42,14 +35,6 @@ def load_color_table(path: str | None = None) -> list[tuple[str, RGB]]:
 
 
 COLOR_TABLE: list[tuple[str, RGB]] = load_color_table()
-
-
-def save_color_table(path: str, table: list[tuple[str, RGB]] | None = None) -> None:
-    """Export the color table as JSON for auditing."""
-    table = COLOR_TABLE if table is None else table
-    with open(path, "w") as f:
-        json.dump([[name, list(rgb)] for name, rgb in table], f, indent=2)
-        f.write("\n")
 
 
 def refine_name(raw: str) -> str | None:
@@ -73,17 +58,16 @@ def refine_name(raw: str) -> str | None:
     return " ".join(kept)
 
 
-def nearest_color(rgb: RGB | list[int], table: list[tuple[str, RGB]] | None = None) -> str:
-    """Name of the table color closest in squared RGB distance.
+def nearest_color(rgb: RGB | list[int]) -> str:
+    """Name of the COLOR_TABLE color closest in squared RGB distance.
 
     Ties break by table order, which is fixed.
     """
-    table = COLOR_TABLE if table is None else table
     r, g, b = rgb
     if not all(0 <= c <= 255 for c in (r, g, b)):
         raise ValueError(f"rgb components must be in [0, 255], got {rgb!r}")
     best_name, best_d = None, None
-    for name, (tr, tg, tb) in table:
+    for name, (tr, tg, tb) in COLOR_TABLE:
         d = (r - tr) ** 2 + (g - tg) ** 2 + (b - tb) ** 2
         if best_d is None or d < best_d:
             best_name, best_d = name, d

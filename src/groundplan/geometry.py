@@ -74,22 +74,6 @@ class LabeledPointCloud:
             for i, name in enumerate(LABEL_NAMES)
         }
 
-    def to_json(self) -> list:
-        return [
-            [float(x), float(y), float(z), LABEL_NAMES[l]]
-            for (x, y, z), l in zip(self.points, self.labels)
-        ]
-
-
-def project(points: np.ndarray, camera: CameraModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """World points -> (u, v) pixel coordinates and camera-z depth."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    cam = pts @ camera.rotation.T + camera.translation
-    z = cam[:, 2]
-    u = camera.fx * cam[:, 0] / z + camera.cx
-    v = camera.fy * cam[:, 1] / z + camera.cy
-    return u, v, z
-
 
 def unproject(depth: np.ndarray, mask: np.ndarray, camera: CameraModel) -> np.ndarray:
     """World points for every masked pixel with positive depth.
@@ -226,39 +210,6 @@ def dbscan_filter(points: np.ndarray, params: DbscanParams = DbscanParams()) -> 
     keep = core.copy()
     keep[i[core[j]]] = True
     return pts[keep]
-
-
-def dbscan_labels(points: np.ndarray, params: DbscanParams = DbscanParams()) -> np.ndarray:
-    """Full DBSCAN labeling: cluster index per point, -1 for noise.
-
-    Clusters are numbered in order of their lowest-indexed core point.
-    Border points attach to the lowest-numbered adjacent core cluster.
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    n = len(pts)
-    labels = np.full(n, -1, dtype=int)
-    if n == 0:
-        return labels
-    i, j, core = _eps_neighbours(pts, params)
-    # Core components: propagate the minimum index over core-core pairs,
-    # with pointer jumping, until every component holds its lowest index.
-    both = core[i] & core[j]
-    ci, cj = i[both], j[both]
-    root = np.arange(n)
-    while True:
-        nxt = root.copy()
-        np.minimum.at(nxt, ci, root[cj])
-        nxt = nxt[nxt]
-        if np.array_equal(nxt, root):
-            break
-        root = nxt
-    roots = np.unique(root[core])
-    labels[core] = np.searchsorted(roots, root[core])
-    border = core[j] & ~core[i]
-    attach = np.full(n, len(roots))
-    np.minimum.at(attach, i[border], labels[j[border]])
-    labels[attach < len(roots)] = attach[attach < len(roots)]
-    return labels
 
 
 def categorize(

@@ -8,7 +8,6 @@ frame as p_cam = R @ p_world + t.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -386,26 +385,7 @@ class ViewSet:
         return h.hexdigest()
 
 
-# -- debug serialization ------------------------------------------------------
-
-
-def _shape_to_json(s: Shape) -> dict:
-    if isinstance(s, Box):
-        return {"kind": "box", "half_extents": s.half_extents.tolist()}
-    if isinstance(s, Cylinder):
-        return {"kind": "cylinder", "radius": s.radius, "height": s.height}
-    if isinstance(s, Sphere):
-        return {"kind": "sphere", "radius": s.radius}
-    return {
-        "kind": "prismatic",
-        "body_half": s.body_half.tolist(),
-        "slider_half": s.slider_half.tolist(),
-        "slider_offset": s.slider_offset.tolist(),
-        "axis": s.axis.tolist(),
-        "travel": s.travel,
-        "fraction": s.fraction,
-        "ratchet": s.ratchet,
-    }
+# -- shape JSON (task suites) ------------------------------------------------
 
 
 def shape_from_json(d: dict) -> Shape:
@@ -427,40 +407,3 @@ def shape_from_json(d: dict) -> Shape:
             ratchet=d.get("ratchet", False),
         )
     raise ValueError(f"unknown shape kind {kind!r}")
-
-
-def scene_to_json(scene: Scene) -> str:
-    objs = [
-        {
-            "id": o.id,
-            "raw_name": o.raw_name,
-            "color": list(o.color),
-            "shape": _shape_to_json(o.shape),
-            "position": o.position.tolist(),
-            "yaw": o.yaw,
-            "graspable": o.graspable,
-            "is_location": o.is_location,
-            "color_varies": o.color_varies,
-        }
-        for o in scene.objects
-    ]
-    return json.dumps({"objects": objs, "roles": scene.roles}, indent=2, sort_keys=True)
-
-
-def scene_from_json(text: str) -> Scene:
-    d = json.loads(text)
-    objects = [
-        SceneObject(
-            id=o["id"],
-            raw_name=o["raw_name"],
-            color=tuple(o["color"]),
-            shape=shape_from_json(o["shape"]),
-            position=np.asarray(o["position"]),
-            yaw=o["yaw"],
-            graspable=o["graspable"],
-            is_location=o["is_location"],
-            color_varies=o["color_varies"],
-        )
-        for o in d["objects"]
-    ]
-    return Scene(objects=objects, roles={k: int(v) for k, v in d["roles"].items()})

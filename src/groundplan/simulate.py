@@ -318,10 +318,10 @@ def step_motion(
 class Simulation:
     """Owns one episode's mutable scene + gripper; everything else is shared."""
 
-    def __init__(self, scene: Scene, task: TaskScript, gripper: GripperState | None = None):
+    def __init__(self, scene: Scene, task: TaskScript):
         self.scene = scene.copy()
         self.task = task
-        self.gripper = gripper.copy() if gripper else GripperState(position=np.array(GRIPPER_HOME))
+        self.gripper = GripperState(position=np.array(GRIPPER_HOME))
 
     @classmethod
     def sample(cls, task: TaskScript, seed: int) -> "Simulation":

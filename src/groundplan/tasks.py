@@ -236,12 +236,6 @@ def load_suite(path: str) -> list[TaskScript]:
     return [task_from_json(t) for t in d["tasks"]]
 
 
-def save_suite(tasks: list[TaskScript], path: str) -> None:
-    with open(path, "w") as f:
-        json.dump({"tasks": [task_to_json(t) for t in tasks]}, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 def builtin_suite() -> list[TaskScript]:
     """The suite shipped with the package (all four generalization groups)."""
     raw = resources.files("groundplan.data").joinpath("suite.json").read_text()

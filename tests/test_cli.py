@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import inspect
 import json
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from groundplan import cli
 from groundplan.cli import main
 from groundplan.executor import run_episode, trace_to_jsonl
+from groundplan.geometry import DbscanParams
 from groundplan.planners import oracle_factory
 
 
@@ -103,6 +106,19 @@ def test_missing_dataset_exits_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_offline_rejects_a_refexp_dataset(tmp_path, capsys):
+    data = tmp_path / "refexp"
+    assert main([
+        "gen-data", "--kind", "refexp", "--episodes", "1", "--seed", "0",
+        "--resolution", "96", "--out", str(data),
+    ]) == 0
+    capsys.readouterr()
+    assert main(["eval-offline", "--data", str(data)]) == 1
+    assert capsys.readouterr().err.strip() == (
+        f"error: {data}: eval-offline scores plan or long datasets, not 'refexp'"
+    )
+
+
 def test_eval_offline_corrupted_planner_loses_object_accuracy(plan_data, tmp_path):
     report = tmp_path / "report.json"
     rc = main([
@@ -152,7 +168,7 @@ def test_eval_offline_reads_the_dataset_once(plan_data, monkeypatch):
     assert calls == [str(plan_data)]
 
 
-@pytest.mark.parametrize("field", ["sticky", "dbscan_filter"])
+@pytest.mark.parametrize("field", ["sticky", "dbscan-filter"])
 @pytest.mark.parametrize("value", ["false", 0, None])
 def test_config_boolean_must_be_json_bool(tmp_path, capsys, field, value):
     config = tmp_path / "config.json"
@@ -160,3 +176,29 @@ def test_config_boolean_must_be_json_bool(tmp_path, capsys, field, value):
     rc = main(["--config", str(config), "run-online", "--planner", "corrupted"])
     assert rc == 1
     assert capsys.readouterr().err.strip() == f"error: {config}: {field} must be true or false"
+
+
+@pytest.mark.parametrize("field", ["episdoes", "dbscan_filter", "dbscan"])
+def test_config_rejects_unknown_fields(tmp_path, capsys, field):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"episodes": 1, field: True}))
+    rc = main(["--config", str(config), "check-grads", "--trials", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == f"error: {config}: unknown field '{field}'"
+
+
+def test_config_fields_are_exactly_the_settings_read():
+    tree = ast.parse(inspect.getsource(cli))
+    read = {
+        node.args[2].value for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_setting"
+    }
+    assert read == set(cli._CONFIG_FIELDS)
+
+
+def test_config_dbscan_keys_reach_grounding():
+    args = cli.build_parser().parse_args(["run-online"])
+    config = {"dbscan-filter": True, "dbscan-eps": 0.01, "dbscan-min-pts": 3}
+    grounding = cli._grounding_from(args, config)
+    assert grounding.dbscan_enabled
+    assert grounding.dbscan == DbscanParams(eps=0.01, min_pts=3)

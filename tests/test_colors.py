@@ -1,17 +1,13 @@
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from groundplan.colors import (
     COLOR_TABLE,
     FilteredNameError,
     display_name,
-    load_color_table,
     nearest_color,
     refine_name,
-    save_color_table,
 )
 
 
@@ -101,9 +97,3 @@ def test_display_name_never_contains_noise(rng):
         assert "distractor" not in name and "success" not in name
         assert not any(ch.isdigit() for ch in name)
 
-
-def test_table_json_roundtrip(tmp_path):
-    path = tmp_path / "colors.json"
-    save_color_table(str(path))
-    assert load_color_table(str(path)) == COLOR_TABLE
-    json.loads(path.read_text())  # valid plain JSON

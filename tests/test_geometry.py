@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groundplan.geometry import (
@@ -12,13 +12,11 @@ from groundplan.geometry import (
     TARGET_LOCATION,
     TARGET_OBJECT,
     DbscanParams,
-    LabeledPointCloud,
+    _eps_neighbours,
     canonical_order,
     categorize,
     dbscan_filter,
-    dbscan_labels,
     fuse_views,
-    project,
     unproject,
 )
 from groundplan.scene import CameraModel, look_at
@@ -217,8 +215,8 @@ def test_categorize_partition_and_counts():
 def _brute_force_dbscan(points, eps, min_pts):
     """Definitional DBSCAN: core points, density-reachability, label sets.
 
-    Returns (kept set, labels array) computed with plain loops, entirely
-    independent of the library implementation.
+    Returns the set of clustered (non-noise) point indices, computed with
+    plain loops, entirely independent of the library implementation.
     """
     n = len(points)
     neighbors = [
@@ -242,8 +240,7 @@ def _brute_force_dbscan(points, eps, min_pts):
                     if core[j]:
                         queue.append(j)
         cluster += 1
-    kept = {i for i in range(n) if labels[i] != -1}
-    return kept, labels
+    return {i for i in range(n) if labels[i] != -1}
 
 
 def test_dbscan_outlier_example():
@@ -273,21 +270,10 @@ def test_dbscan_matches_brute_force(rng):
         eps = float(rng.uniform(0.01, 0.07))
         min_pts = int(rng.integers(1, 8))
         params = DbscanParams(eps=eps, min_pts=min_pts)
-        kept_ref, labels_ref = _brute_force_dbscan(pts, eps, min_pts)
+        kept_ref = _brute_force_dbscan(pts, eps, min_pts)
         out = dbscan_filter(pts, params)
         expected = canonical_order(pts[sorted(kept_ref)]) if kept_ref else np.empty((0, 3))
         assert np.array_equal(out, expected)
-        # Cluster partition must match as a set-of-sets.
-        labels = dbscan_labels(pts, params)
-        ref_groups = {
-            frozenset(np.flatnonzero(np.array(labels_ref) == c).tolist())
-            for c in set(labels_ref) if c != -1
-        }
-        got_groups = {
-            frozenset(np.flatnonzero(labels == c).tolist())
-            for c in set(labels.tolist()) if c != -1
-        }
-        assert got_groups == ref_groups
 
 
 def test_dbscan_idempotent(rng):
@@ -325,30 +311,6 @@ def _dense_dbscan_filter(points, params):
     return pts[keep]
 
 
-def _dense_dbscan_labels(points, params):
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    n = len(pts)
-    labels = np.full(n, -1, dtype=int)
-    if n == 0:
-        return labels
-    adj, core = _dense_eps_neighbours(pts, params)
-    cluster = 0
-    for i in range(n):
-        if not core[i] or labels[i] != -1:
-            continue
-        frontier = np.zeros(n, dtype=bool)
-        frontier[i] = True
-        members = np.zeros(n, dtype=bool)
-        while frontier.any():
-            members |= frontier
-            frontier = adj[frontier].any(axis=0) & core & ~members
-        labels[members] = cluster
-        border = adj[:, members & core].any(axis=1) & ~core & (labels == -1)
-        labels[border] = cluster
-        cluster += 1
-    return labels
-
-
 def _unique_rows_fuse(point_lists, voxel=FUSE_VOXEL):
     """Voxel fusion on np.unique(axis=0) of the integer voxel triples."""
     nonempty = [np.asarray(p, dtype=float).reshape(-1, 3) for p in point_lists]
@@ -365,7 +327,12 @@ def _unique_rows_fuse(point_lists, voxel=FUSE_VOXEL):
 
 def _assert_dbscan_matches_dense(pts, params):
     assert np.array_equal(dbscan_filter(pts, params), _dense_dbscan_filter(pts, params))
-    assert np.array_equal(dbscan_labels(pts, params), _dense_dbscan_labels(pts, params))
+    # The grid step yields each ordered within-eps pair exactly once.
+    i, j, core = _eps_neighbours(pts, params)
+    adj, dense_core = _dense_eps_neighbours(pts, params)
+    dense_i, dense_j = np.nonzero(adj)
+    assert sorted(zip(i.tolist(), j.tolist())) == list(zip(dense_i.tolist(), dense_j.tolist()))
+    assert np.array_equal(core, dense_core)
 
 
 _coord = st.floats(-0.1, 0.1, allow_nan=False, allow_infinity=False)
@@ -375,6 +342,10 @@ _params = st.builds(DbscanParams, eps=st.floats(0.005, 0.08), min_pts=st.integer
 
 @settings(max_examples=200, deadline=None)
 @given(cloud=_cloud, params=_params)
+# eps + 2**-280 rounds to eps, so the pair is within eps yet its points lie in
+# cells -1 and 1 of a grid exactly eps wide.
+@example(cloud=[(0.0, 0.0, 0.0625), (0.0, 0.0, -(2.0**-280))],
+         params=DbscanParams(eps=0.0625, min_pts=1))
 def test_grid_dbscan_equals_dense_on_random_clouds(cloud, params):
     _assert_dbscan_matches_dense(np.array(cloud), params)
 
@@ -448,7 +419,3 @@ def test_dbscan_params_validated():
     with pytest.raises(ValueError):
         DbscanParams(min_pts=0)
 
-
-def test_labeled_cloud_json():
-    cloud = LabeledPointCloud(np.array([[1.0, 2.0, 3.0]]), np.array([2]))
-    assert cloud.to_json() == [[1.0, 2.0, 3.0, "robot"]]
