@@ -1,103 +1,114 @@
 """Command-line entry points.
 
 Subcommands: gen-data, eval-offline, run-online, report, check-grads,
-inspect. A JSON config file can preset suite path, rig resolution, chunk
-size, DBSCAN parameters and seeds; explicit flags always win.
+inspect. Every setting is declared once, in SETTINGS: its flag is
+--<name> and its key in a JSON config file (--config) is <name>. An
+explicit flag wins over the config file, which wins over the default.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .evaluate import eval_offline, eval_online, render_report, result_from_json
 from .executor import GroundingConfig, summarize_trace_file
 from .geometry import DbscanParams
+from .jsonfile import read_json
 from .planners import (CorruptedPlanner, CorruptionConfig, ReplayPlanner, corrupt,
                        oracle_factory, with_mask_noise)
 from .scene import default_rig
 from .tasks import builtin_suite, load_suite
 
+_EPISODES = ("gen-data", "run-online")
+_CORRUPTION = ("eval-offline", "run-online")
+_ONLINE = ("run-online",)
 
-# Every name `_setting` reads; each config key is spelled as its flag, less the "--".
-_CONFIG_FIELDS = (
-    "suite", "resolution", "episodes", "runs", "seed", "chunk", "planner",
-    "p-wrong-object", "p-wrong-action", "p-malformed", "corruption-seed", "sticky",
-    "mask-noise", "dbscan-filter", "dbscan-eps", "dbscan-min-pts",
-)
-# Config fields that switch something on; a string such as "false" would
-# read as true, so only JSON true and false are accepted.
-_BOOLEAN_FIELDS = ("sticky", "dbscan-filter")
+# name: (type, default, help, subcommands that take it). The type is int,
+# float, str, bool (a flag without a value; JSON true or false) or a tuple
+# of the allowed strings.
+SETTINGS = {
+    "suite": (str, "builtin", "suite JSON path, or builtin", _EPISODES),
+    "resolution": (int, 256, "camera width and height in pixels", _EPISODES),
+    "episodes": (int, 20, "episodes per task variation (and run)", _EPISODES),
+    "runs": (int, 5, "seeded runs per task variation", _ONLINE),
+    "seed": (int, 0, "base seed", _EPISODES + ("check-grads",)),
+    "chunk": (int, 5, "plan steps executed per planner call", _ONLINE),
+    "planner": (("oracle", "corrupted"), "oracle", "planner to evaluate", _CORRUPTION),
+    "p-wrong-object": (float, 0.0, "corrupted planner: chance of a wrong object", _CORRUPTION),
+    "p-wrong-action": (float, 0.0, "corrupted planner: chance of a wrong action", _CORRUPTION),
+    "p-malformed": (float, 0.0, "corrupted planner: chance of a malformed plan", _CORRUPTION),
+    "corruption-seed": (int, 0, "corrupted planner: seed of its draws", _CORRUPTION),
+    "sticky": (bool, False, "corrupted planner: draw one failure mode per episode",
+               _CORRUPTION),
+    "mask-noise": (float, 0.0, "mask speckle level: share of each mask's pixels moved", _ONLINE),
+    "dbscan-filter": (bool, False, "drop DBSCAN outliers from grounded points", _ONLINE),
+    "dbscan-eps": (float, 0.02, "DBSCAN neighbourhood radius in metres", _ONLINE),
+    "dbscan-min-pts": (int, 5, "DBSCAN neighbours that make a core point", _ONLINE),
+}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
 
 
 def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    with open(path) as f:
-        try:
-            config = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{path} @ byte {e.pos}: {e.msg}") from e
-    if not isinstance(config, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    for name in config:
-        if name not in _CONFIG_FIELDS:
+    """The config file's settings, each checked against its SETTINGS type."""
+    config = read_json(path) if path else {}
+    for name, value in config.items():
+        if name not in SETTINGS:
             raise ValueError(f"{path}: unknown field {name!r}")
-    for name in _BOOLEAN_FIELDS:
-        if name in config and not isinstance(config[name], bool):
-            raise ValueError(f"{path}: {name} must be true or false")
+        kind = SETTINGS[name][0]
+        if isinstance(kind, tuple):
+            ok, want = value in kind, "one of " + ", ".join(kind)
+        else:
+            # JSON true and false load as bool, which Python counts as an int
+            ok = isinstance(value, (int, float) if kind is float else kind) and (
+                kind is bool or not isinstance(value, bool))
+            want = _TYPE_NAMES[kind]
+        if not ok:
+            raise ValueError(f"{path}: {name} must be {want}")
+        if kind is float:
+            config[name] = float(value)
     return config
 
 
-def _setting(args, config: dict, name: str, default):
-    value = getattr(args, name.replace("-", "_"), None)
-    if value is not None:
-        return value
-    return config.get(name, default)
+def _settings(args, config: dict) -> dict:
+    """{name: value} for each setting args.command takes: flag, else config, else default."""
+    values = {}
+    for name, (_, default, _, commands) in SETTINGS.items():
+        if args.command in commands:
+            flag = getattr(args, name.replace("-", "_"))
+            values[name] = config.get(name, default) if flag is None else flag
+    return values
 
 
-def _suite_from(args, config) -> list:
-    path = _setting(args, config, "suite", "builtin")
-    if path in (None, "builtin"):
-        return builtin_suite()
-    return load_suite(path)
+def _suite_from(s: dict) -> list:
+    return builtin_suite() if s["suite"] == "builtin" else load_suite(s["suite"])
 
 
-def _grounding_from(args, config) -> GroundingConfig:
-    params = DbscanParams(
-        eps=_setting(args, config, "dbscan-eps", 0.02),
-        min_pts=int(_setting(args, config, "dbscan-min-pts", 5)),
-    )
-    enabled = _setting(args, config, "dbscan-filter", False)
-    return GroundingConfig(dbscan_enabled=enabled, dbscan=params)
+def _grounding_from(s: dict) -> GroundingConfig:
+    params = DbscanParams(eps=s["dbscan-eps"], min_pts=s["dbscan-min-pts"])
+    return GroundingConfig(dbscan_enabled=s["dbscan-filter"], dbscan=params)
 
 
-def _corruption_from(args, config) -> CorruptionConfig | None:
+def _corruption_from(s: dict) -> CorruptionConfig | None:
     """The corruption the chosen planner applies; None for the plain oracle."""
-    name = _setting(args, config, "planner", "oracle")
-    if name == "oracle":
+    if s["planner"] == "oracle":
         return None
-    if name != "corrupted":
-        raise SystemExit(f"unknown planner {name!r}")
     return CorruptionConfig(
-        p_wrong_object=float(_setting(args, config, "p-wrong-object", 0.0)),
-        p_wrong_action=float(_setting(args, config, "p-wrong-action", 0.0)),
-        p_malformed=float(_setting(args, config, "p-malformed", 0.0)),
-        transient=not _setting(args, config, "sticky", False),
-        seed=int(_setting(args, config, "corruption-seed", 0)),
+        p_wrong_object=s["p-wrong-object"],
+        p_wrong_action=s["p-wrong-action"],
+        p_malformed=s["p-malformed"],
+        transient=not s["sticky"],
+        seed=s["corruption-seed"],
     )
 
 
-def _planner_factory_from(args, config):
+def _planner_factory_from(s: dict):
     factory = oracle_factory
-    cfg = _corruption_from(args, config)
+    cfg = _corruption_from(s)
     if cfg is not None:
         factory = corrupt(factory, cfg)
-    noise = _setting(args, config, "mask-noise", 0.0)
-    if noise:
-        factory = with_mask_noise(factory, float(noise),
-                                  seed=int(_setting(args, config, "seed", 0)))
+    if s["mask-noise"]:
+        factory = with_mask_noise(factory, s["mask-noise"], seed=s["seed"])
     return factory
 
 
@@ -111,22 +122,20 @@ def _write_or_print(text: str, out: str | None) -> None:
         print(text)
 
 
-def cmd_gen_data(args, config) -> int:
+def cmd_gen_data(args, s: dict) -> int:
     from .datasets import gen_long_dataset, gen_plan_dataset, gen_refexp_dataset
 
-    suite = _suite_from(args, config)
-    rig = default_rig(int(_setting(args, config, "resolution", 256)))
     gen = {
         "plan": gen_plan_dataset,
         "refexp": gen_refexp_dataset,
         "long": gen_long_dataset,
     }[args.kind]
     manifest = gen(
-        suite,
-        episodes_per_variation=int(_setting(args, config, "episodes", 20)),
-        seed=int(_setting(args, config, "seed", 0)),
+        _suite_from(s),
+        episodes_per_variation=s["episodes"],
+        seed=s["seed"],
         out_dir=args.out,
-        rig=rig,
+        rig=default_rig(s["resolution"]),
     )
     print(
         f"wrote {manifest.total_records} {manifest.kind} records from "
@@ -136,10 +145,10 @@ def cmd_gen_data(args, config) -> int:
     return 0
 
 
-def cmd_eval_offline(args, config) -> int:
+def cmd_eval_offline(args, s: dict) -> int:
     from .datasets import read_dataset
 
-    cfg = _corruption_from(args, config)
+    cfg = _corruption_from(s)
     manifest, records = read_dataset(args.data)
     if manifest.kind not in ("plan", "long"):
         raise ValueError(f"{args.data}: eval-offline scores plan or long datasets, "
@@ -152,38 +161,31 @@ def cmd_eval_offline(args, config) -> int:
     return 0
 
 
-def cmd_run_online(args, config) -> int:
-    suite = _suite_from(args, config)
-    factory = _planner_factory_from(args, config)
-    rig = default_rig(int(_setting(args, config, "resolution", 256)))
+def cmd_run_online(args, s: dict) -> int:
     result = eval_online(
-        suite,
-        factory,
-        chunk=int(_setting(args, config, "chunk", 5)),
-        episodes=int(_setting(args, config, "episodes", 20)),
-        runs=int(_setting(args, config, "runs", 5)),
-        seed=int(_setting(args, config, "seed", 0)),
-        rig=rig,
-        grounding=_grounding_from(args, config),
+        _suite_from(s),
+        _planner_factory_from(s),
+        chunk=s["chunk"],
+        episodes=s["episodes"],
+        runs=s["runs"],
+        seed=s["seed"],
+        rig=default_rig(s["resolution"]),
+        grounding=_grounding_from(s),
     )
     _write_or_print(render_report(result, args.format), args.out)
     return 0
 
 
-def cmd_report(args, config) -> int:
-    with open(args.infile) as f:
-        result = result_from_json(json.load(f))
+def cmd_report(args, s: dict) -> int:
+    result = read_json(args.infile, result_from_json)
     _write_or_print(render_report(result, args.format), args.out)
     return 0
 
 
-def cmd_check_grads(args, config) -> int:
+def cmd_check_grads(args, s: dict) -> int:
     from .objectives import gradient_check_report
 
-    worst = gradient_check_report(
-        seed=int(_setting(args, config, "seed", 0)),
-        trials=int(args.trials),
-    )
+    worst = gradient_check_report(seed=s["seed"], trials=args.trials)
     ok = True
     for name, err in sorted(worst.items()):
         status = "ok" if err < 1e-4 else "FAIL"
@@ -193,7 +195,7 @@ def cmd_check_grads(args, config) -> int:
     return 0 if ok else 1
 
 
-def cmd_inspect(args, config) -> int:
+def cmd_inspect(args, s: dict) -> int:
     print(summarize_trace_file(args.trace))
     return 0
 
@@ -205,70 +207,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON config file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for command, func, text in (
+        ("gen-data", cmd_gen_data, "generate a dataset from oracle episodes"),
+        ("eval-offline", cmd_eval_offline, "grounded-planning evaluation on a dataset"),
+        ("run-online", cmd_run_online, "closed-loop task-completion evaluation"),
+        ("report", cmd_report, "re-render a saved JSON results file"),
+        ("check-grads", cmd_check_grads, "finite-difference gradient audit"),
+        ("inspect", cmd_inspect, "summarize an episode trace JSONL file"),
+    ):
+        p = commands[command] = sub.add_parser(command, help=text)
+        p.set_defaults(func=func)
+        for name, (kind, default, help_text, takers) in SETTINGS.items():
+            if command in takers:
+                kw = ({"action": "store_const", "const": True} if kind is bool
+                      else {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
+                p.add_argument(f"--{name}", help=f"{help_text} (default: {default})", **kw)
 
-    p = sub.add_parser("gen-data", help="generate a dataset from oracle episodes")
-    p.add_argument("--suite", help="suite JSON path (default: builtin)")
-    p.add_argument("--kind", choices=("plan", "refexp", "long"), default="plan")
-    p.add_argument("--episodes", type=int, help="episodes per task variation")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--resolution", type=int)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("eval-offline", help="grounded-planning evaluation on a dataset")
-    p.add_argument("--data", required=True, help="plan or long dataset directory")
-    p.add_argument("--planner", choices=("oracle", "corrupted"))
-    p.add_argument("--p-wrong-object", type=float, dest="p_wrong_object")
-    p.add_argument("--p-wrong-action", type=float, dest="p_wrong_action")
-    p.add_argument("--p-malformed", type=float, dest="p_malformed")
-    p.add_argument("--corruption-seed", type=int, dest="corruption_seed")
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_eval_offline)
-
-    p = sub.add_parser("run-online", help="closed-loop task-completion evaluation")
-    p.add_argument("--suite")
-    p.add_argument("--planner", choices=("oracle", "corrupted"))
-    p.add_argument("--p-wrong-object", type=float, dest="p_wrong_object")
-    p.add_argument("--p-wrong-action", type=float, dest="p_wrong_action")
-    p.add_argument("--p-malformed", type=float, dest="p_malformed")
-    p.add_argument("--corruption-seed", type=int, dest="corruption_seed")
-    p.add_argument("--sticky", action="store_const", const=True, dest="sticky")
-    p.add_argument("--chunk", type=int)
-    p.add_argument("--episodes", type=int)
-    p.add_argument("--runs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--resolution", type=int)
-    p.add_argument("--dbscan-filter", action="store_const", const=True, dest="dbscan_filter")
-    p.add_argument("--dbscan-eps", type=float, dest="dbscan_eps")
-    p.add_argument("--dbscan-min-pts", type=int, dest="dbscan_min_pts")
-    p.add_argument("--mask-noise", type=float, dest="mask_noise")
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_run_online)
-
-    p = sub.add_parser("report", help="re-render a saved JSON results file")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("check-grads", help="finite-difference gradient audit")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_check_grads)
-
-    p = sub.add_parser("inspect", help="summarize an episode trace JSONL file")
-    p.add_argument("--trace", required=True)
-    p.set_defaults(func=cmd_inspect)
-
+    commands["gen-data"].add_argument("--kind", choices=("plan", "refexp", "long"),
+                                      default="plan")
+    commands["gen-data"].add_argument("--out", required=True, help="dataset directory")
+    commands["eval-offline"].add_argument("--data", required=True,
+                                          help="plan or long dataset directory")
+    commands["report"].add_argument("--in", dest="infile", required=True)
+    for command in ("eval-offline", "run-online", "report"):
+        commands[command].add_argument("--format", choices=("table", "json", "csv"),
+                                       default="table")
+        commands[command].add_argument("--out")
+    commands["check-grads"].add_argument("--trials", type=int, default=100)
+    commands["inspect"].add_argument("--trace", required=True)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, _load_config(args.config))
+        return args.func(args, _settings(args, _load_config(args.config)))
     except (RuntimeError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

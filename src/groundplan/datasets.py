@@ -27,6 +27,7 @@ from importlib import resources
 import numpy as np
 
 from .executor import EpisodeTrace, run_episode
+from .jsonfile import JsonFileError, read_json
 from .masks import mask_from_json, mask_to_json, rle_decode, rle_encode
 from .planlang import GroundedPlan, history_text, plan_from_json, plan_to_json
 from .planners import oracle_factory
@@ -42,13 +43,8 @@ def joiner_templates() -> list[str]:
     return json.loads(raw)
 
 
-class DatasetReadError(RuntimeError):
+class DatasetReadError(JsonFileError):
     """A dataset file failed to parse; carries file and byte offset."""
-
-    def __init__(self, path: str, offset: int, message: str):
-        super().__init__(f"{path} @ byte {offset}: {message}")
-        self.path = path
-        self.offset = offset
 
 
 # -- records ----------------------------------------------------------------
@@ -265,6 +261,7 @@ def _views_from_json(id_maps: list, depth_files: list[str], cameras: list[Camera
                 ids[rle_decode(runs, shape)] = oid
         except ValueError as e:
             raise DatasetReadError(json_path, 0, f"id_maps[{i}]: {e}") from e
+        ids.flags.writeable = False  # read-only like rendered frames: a kept digest stays valid
         views.append(View(depth=depth, ids=ids))
     return ViewSet(views)
 
@@ -373,27 +370,16 @@ def write_dataset(manifest: DatasetManifest, records: list, out_dir: str) -> Dat
     return manifest
 
 
-def _read_json(path: str, parse):
-    """parse() of the JSON in path; bad JSON or a missing field is a DatasetReadError."""
-    try:
-        with open(path) as f:
-            payload = json.load(f)
-        return parse(payload)
-    except json.JSONDecodeError as e:
-        raise DatasetReadError(path, e.pos, e.msg) from e
-    except KeyError as e:
-        raise DatasetReadError(path, 0, f"missing field {e.args[0]!r}") from e
-
-
 def read_dataset(data_dir: str) -> tuple[DatasetManifest, list]:
     manifest_path = os.path.join(data_dir, "manifest.json")
-    manifest = _read_json(manifest_path, DatasetManifest.from_json)
+    manifest = read_json(manifest_path, DatasetManifest.from_json, DatasetReadError)
     inside = _resolver(data_dir)
     records = []
     for i, name in enumerate(manifest.files):
         if name.startswith("records/"):
             path = inside(name, manifest_path, f"files[{i}]")
-            records.append(_read_json(path, lambda d: _record_from_json(d, inside, path)))
+            records.append(read_json(path, lambda d: _record_from_json(d, inside, path),
+                                     DatasetReadError))
     counted = sum(manifest.counts.values())
     if counted != len(records):
         raise DatasetReadError(
@@ -423,9 +409,10 @@ def _run_oracle_episodes(
                 task, ep_seed, oracle_factory, chunk=5, rig=rig, store_views=True
             )
             if not trace.success:
+                sizes = sorted({f"{cam.width}x{cam.height}" for cam in rig.cameras})
                 raise RuntimeError(
                     f"oracle episode failed: task {task.key} seed {ep_seed} "
-                    f"({trace.terminal})"
+                    f"({trace.terminal}) at camera resolution {', '.join(sizes)}"
                 )
             per.append(trace)
         traces[task.key] = per

@@ -12,7 +12,6 @@ ground-truth access stays episode-private.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
@@ -185,17 +184,6 @@ def oracle_factory(ctx: EpisodeContext) -> OraclePlanner:
 # -- dataset replay -------------------------------------------------------------
 
 
-def _call_key(instruction: str, history: list[str], views: ViewSet) -> str:
-    h = hashlib.sha256()
-    h.update(instruction.encode())
-    for item in history:
-        h.update(b"\x1f")
-        h.update(item.encode())
-    h.update(b"\x1e")
-    h.update(views.digest().encode())
-    return h.hexdigest()
-
-
 class ReplayPlanner:
     """Replays ground-truth outputs keyed purely on the call inputs.
 
@@ -204,20 +192,20 @@ class ReplayPlanner:
     which makes it the upper-bound planner for offline evaluation.
     """
 
-    def __init__(self, outputs: dict[str, PlannerOutput]):
+    def __init__(self, outputs: dict[tuple, PlannerOutput]):
         self._outputs = outputs
 
     @classmethod
     def from_records(cls, records) -> "ReplayPlanner":
         outputs = {}
         for rec in records:
-            key = _call_key(rec.instruction, list(rec.history), rec.views)
+            key = (rec.instruction, tuple(rec.history), rec.views.digest())
             stacks = [ref.masks for _, ref in rec.gt_plan.references()]
             outputs[key] = (rec.plan_text, stacks)
         return cls(outputs)
 
     def plan(self, instruction, views, history, inventory) -> PlannerOutput:
-        key = _call_key(instruction, list(history), views)
+        key = (instruction, tuple(history), views.digest())
         try:
             return self._outputs[key]
         except KeyError:

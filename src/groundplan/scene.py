@@ -8,6 +8,7 @@ frame as p_cam = R @ p_world + t.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field, replace
 
@@ -356,6 +357,7 @@ class View:
 @dataclass
 class ViewSet:
     views: list[View]
+    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.views)
@@ -376,13 +378,14 @@ class ViewSet:
         return ids
 
     def digest(self) -> str:
-        import hashlib
-
-        h = hashlib.sha256()
-        for v in self.views:
-            h.update(np.ascontiguousarray(v.depth).tobytes())
-            h.update(np.ascontiguousarray(v.ids).tobytes())
-        return h.hexdigest()
+        """sha256 over every view's depth and id bytes, computed once: frames are read-only."""
+        if self._digest is None:
+            h = hashlib.sha256()
+            for v in self.views:
+                h.update(np.ascontiguousarray(v.depth).tobytes())
+                h.update(np.ascontiguousarray(v.ids).tobytes())
+            self._digest = h.hexdigest()
+        return self._digest
 
 
 # -- shape JSON (task suites) ------------------------------------------------

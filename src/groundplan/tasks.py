@@ -15,6 +15,7 @@ from importlib import resources
 
 import numpy as np
 
+from .jsonfile import read_json
 from .planlang import ACTIONS
 from .scene import GripperState, Scene, SceneObject, Shape, shape_from_json
 
@@ -231,9 +232,7 @@ def task_from_json(d: dict) -> TaskScript:
 
 
 def load_suite(path: str) -> list[TaskScript]:
-    with open(path) as f:
-        d = json.load(f)
-    return [task_from_json(t) for t in d["tasks"]]
+    return read_json(path, lambda d: [task_from_json(t) for t in d["tasks"]])
 
 
 def builtin_suite() -> list[TaskScript]:

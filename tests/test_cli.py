@@ -1,8 +1,9 @@
 from __future__ import annotations
 
-import ast
-import inspect
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -187,18 +188,111 @@ def test_config_rejects_unknown_fields(tmp_path, capsys, field):
     assert capsys.readouterr().err.strip() == f"error: {config}: unknown field '{field}'"
 
 
-def test_config_fields_are_exactly_the_settings_read():
-    tree = ast.parse(inspect.getsource(cli))
-    read = {
-        node.args[2].value for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_setting"
+@pytest.mark.parametrize("field, value, want", [
+    ("dbscan-eps", "abc", "a number"),
+    ("resolution", True, "an integer"),
+    ("episodes", 1.7, "an integer"),
+    ("suite", 0, "a string"),
+    ("planner", "foo", "one of oracle, corrupted"),
+])
+def test_config_value_must_have_its_settings_type(tmp_path, capsys, field, value, want):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"episodes": 1, "runs": 1, "resolution": 96, field: value}))
+    rc = main(["--config", str(config), "run-online", "--out", str(tmp_path / "r.txt")])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == f"error: {config}: {field} must be {want}"
+    assert not (tmp_path / "r.txt").exists()
+
+
+# Every (subcommand, flag) pair the CLI offers. Users and scripts depend on
+# them, so none may disappear silently when the settings table changes.
+_CORRUPTION_FLAGS = ["--planner", "--p-wrong-object", "--p-wrong-action", "--p-malformed",
+                     "--corruption-seed", "--sticky"]
+_FLAGS = {
+    "groundplan": ["--config"],
+    "gen-data": ["--suite", "--kind", "--episodes", "--seed", "--resolution", "--out"],
+    "eval-offline": ["--data", *_CORRUPTION_FLAGS, "--format", "--out"],
+    "run-online": ["--suite", *_CORRUPTION_FLAGS, "--chunk", "--episodes", "--runs", "--seed",
+                   "--resolution", "--dbscan-filter", "--dbscan-eps", "--dbscan-min-pts",
+                   "--mask-noise", "--format", "--out"],
+    "report": ["--in", "--format", "--out"],
+    "check-grads": ["--trials", "--seed"],
+    "inspect": ["--trace"],
+}
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_every_flag_is_kept():
+    parser = cli.build_parser()
+    parsers = {"groundplan": parser, **_subparsers(parser)}
+    offered = {
+        (command, flag) for command, p in parsers.items() for action in p._actions
+        for flag in action.option_strings if flag not in ("-h", "--help")
     }
-    assert read == set(cli._CONFIG_FIELDS)
+    assert offered == {(command, flag) for command, flags in _FLAGS.items() for flag in flags}
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS.keys() - {"groundplan"}))
+def test_help_lists_each_setting_the_command_takes(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    for name, (*_, commands) in cli.SETTINGS.items():
+        if command in commands:
+            assert f"--{name}" in out
+
+
+def test_readme_gives_each_config_key_its_type_and_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.+) \| (.+) \| (.+) \|$", readme, re.M)
+    types = {int: "integer", float: "number", str: "string", bool: "`true` or `false`"}
+    expected = {
+        (name,
+         " or ".join(f"`{c}`" for c in kind) if isinstance(kind, tuple) else types[kind],
+         f"`{json.dumps(default).strip(chr(34))}`",
+         ", ".join(f"`{c}`" for c in commands))
+        for name, (kind, default, _, commands) in cli.SETTINGS.items()
+    }
+    assert set(rows) == expected
 
 
 def test_config_dbscan_keys_reach_grounding():
     args = cli.build_parser().parse_args(["run-online"])
     config = {"dbscan-filter": True, "dbscan-eps": 0.01, "dbscan-min-pts": 3}
-    grounding = cli._grounding_from(args, config)
+    grounding = cli._grounding_from(cli._settings(args, config))
     assert grounding.dbscan_enabled
     assert grounding.dbscan == DbscanParams(eps=0.01, min_pts=3)
+    flagged = cli.build_parser().parse_args(["run-online", "--dbscan-eps", "0.03"])
+    assert cli._grounding_from(cli._settings(flagged, config)).dbscan.eps == 0.03
+    defaults = cli._grounding_from(cli._settings(args, {}))
+    assert not defaults.dbscan_enabled and defaults.dbscan == DbscanParams()
+
+
+def test_gen_data_failure_names_the_resolution(tmp_path, capsys):
+    out = tmp_path / "ds"
+    rc = main(["gen-data", "--kind", "plan", "--episodes", "1", "--seed", "0",
+               "--resolution", "64", "--out", str(out)])
+    assert rc == 1
+    assert "64x64" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, content, message", [
+    ("run-online", "--suite", '{"tasks": [{"name": "x"}]}', "@ byte 0: missing field 'objects'"),
+    ("run-online", "--suite", '{"tasks": [', "@ byte 11: Expecting value"),
+    ("report", "--in", '{"type": "offline"}', "@ byte 0: missing field 'groups'"),
+    ("report", "--in", '{"type": "offline", ',
+     "@ byte 20: Expecting property name enclosed in double quotes"),
+    ("report", "--in", "[]", "@ byte 0: expected a JSON object"),
+    ("report", "--in", '{"type": "été", ', "@ byte 18: Expecting property name enclosed "
+     "in double quotes"),
+])
+def test_malformed_input_file_names_its_path(tmp_path, capsys, command, flag, content, message):
+    path = tmp_path / "input.json"
+    path.write_text(content, encoding="utf-8")
+    assert main([command, flag, str(path)]) == 1
+    assert capsys.readouterr().err.strip() == f"error: {path} {message}"

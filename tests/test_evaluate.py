@@ -55,6 +55,31 @@ def test_oracle_scores_perfect(plan_dataset):
         assert metrics.grd == 100.0
 
 
+def test_scoring_hashes_each_records_frames_once(plan_dataset, monkeypatch):
+    import hashlib
+
+    _, records = read_dataset(plan_dataset)
+    real, hashed = hashlib.sha256, []
+
+    class CountingSha256:
+        def __init__(self):
+            self._h = real()
+
+        def update(self, data):
+            hashed.append(len(data))
+            self._h.update(data)
+
+        def hexdigest(self):
+            return self._h.hexdigest()
+
+    monkeypatch.setattr(hashlib, "sha256", CountingSha256)
+    result = eval_offline(records, ReplayPlanner.from_records(records))
+    assert all(m.act == m.obj == m.grd == 100.0 for m in result.groups.values())
+    views = [v for rec in records for v in rec.views]
+    assert sum(hashed) == sum(v.depth.nbytes + v.ids.nbytes for v in views)
+    assert not any(v.depth.flags.writeable or v.ids.flags.writeable for v in views)
+
+
 def test_malformed_planner_scores_zero(plan_dataset):
     _, records = read_dataset(plan_dataset)
     result = eval_offline(records, MalformedPlanner())
