@@ -24,6 +24,7 @@ from .geometry import (
     categorize,
     dbscan_filter,
     fuse_views,
+    sq_norms,
     unproject,
     unproject_pixels,
 )
@@ -31,6 +32,7 @@ from .planlang import (
     GroundedPlan,
     PlanParseError,
     history_text,
+    normalize_text,
     parse_plan,
 )
 from .planners import EpisodeContext, PlannerFactory
@@ -159,9 +161,9 @@ def _target_object_points(cloud: LabeledPointCloud, gripper: GripperState) -> np
         return pts
     if len(pts):
         anchor = pts.mean(axis=0)
-        near = robot[np.linalg.norm(robot - anchor, axis=1) <= 0.045]
+        near = robot[np.sqrt(sq_norms(robot - anchor)) <= 0.045]
         return np.concatenate([pts, near]) if len(near) else pts
-    near = robot[np.linalg.norm(robot - gripper.position, axis=1) <= 0.035]
+    near = robot[np.sqrt(sq_norms(robot - gripper.position)) <= 0.035]
     return near
 
 
@@ -278,8 +280,6 @@ class EpisodeTrace:
 
 
 def _plan_signature(plan: GroundedPlan) -> tuple:
-    from .planlang import normalize_text
-
     return (
         plan.action,
         tuple((slot, normalize_text(ref.text)) for slot, ref in plan.references()),

@@ -15,6 +15,12 @@ each pair of adjacent cells once. The expected cost is O(N) for clouds of
 bounded density, against the O(N^2) time and memory of an all-pairs
 distance matrix, and each candidate pair is decided by the same float
 expression as the all-pairs test, so results are bit-identical.
+
+Sums and norms over x, y, z are written out as elementwise adds in the
+order numpy's reductions add them, ((x + y) + z), because the reduction
+machinery costs more than the arithmetic on an axis of length 3. Adds in a
+fixed order round the same way every time, so results stay bit-identical
+to np.sum(..., axis=-1) and np.linalg.norm(..., axis=1).
 """
 
 from __future__ import annotations
@@ -108,6 +114,16 @@ def canonical_order(points: np.ndarray) -> np.ndarray:
     return pts[order]
 
 
+def sq_norms(v: np.ndarray) -> np.ndarray:
+    """Squared length of each (x, y, z) along the last axis, bit-identical
+    to np.sum(v**2, axis=-1): the same adds, in the same order."""
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    s = x * x
+    s += y * y
+    s += z * z
+    return s
+
+
 def _pack_cells(cells: np.ndarray, size: float, pad: int = 0) -> tuple[np.ndarray, list[int]]:
     """One int64 key per row of integer-valued (float) cell triples, and the radices.
 
@@ -189,7 +205,7 @@ def _eps_neighbours(
     row, p = _runs(starts[a], counts[a])
     col, q = _runs(starts[b[row]], counts[b[row]])
     i, j = order[p[col]], order[q]
-    near = np.sum((pts[i] - pts[j]) ** 2, axis=-1) <= params.eps**2
+    near = sq_norms(pts[i] - pts[j]) <= params.eps**2
     # A pair from two different cells was met in one order only.
     mirror = near & (a != b)[row[col]]
     i, j = np.concatenate([i[near], j[mirror]]), np.concatenate([j[near], i[mirror]])
@@ -251,6 +267,6 @@ def categorize(
         scene_offset = len(points) - len(scene_pts)
         label[scene_offset:][held_mask] = ROBOT
     gp = np.asarray(gripper_position, dtype=float).reshape(3)
-    near = np.linalg.norm(points - gp, axis=1) <= ROBOT_RADIUS
+    near = np.sqrt(sq_norms(points - gp)) <= ROBOT_RADIUS
     label[near] = ROBOT
     return LabeledPointCloud(points, label)

@@ -6,6 +6,13 @@ Each object is pruned to the pixel rectangle covered by its projected
 bounding sphere before per-ray intersection, so cost scales with covered
 pixels rather than image area.
 
+Boxes are hit with the slab method (Kay & Kajiya, SIGGRAPH 1986) in its
+branch-free form (Williams et al., JGT 2005): in the box frame, each axis
+gives the ray an entry and an exit parameter, and the ray hits when the
+largest entry is no later than the smallest exit. Those extremes over x, y, z
+are two elementwise maximum or minimum calls each, in the order numpy's
+reduction takes the components, so the result is bit-identical to it.
+
 Rendered depth and id maps are read-only. Within one episode the executor
 passes a memo to `render_views`, which then reuses a camera's previous
 `View` when the camera and every primitive are byte-equal to the last
@@ -51,6 +58,19 @@ def _camera_dirs(cam: CameraModel) -> np.ndarray:
     return dirs
 
 
+def _slab_bounds(t1: np.ndarray, t2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(t_near, t_far): the latest slab entry and the earliest slab exit.
+
+    Bit-identical, signed zeros included, to np.minimum(t1, t2).max(axis=-1)
+    and np.maximum(t1, t2).min(axis=-1), which take x, y, z in this order.
+    """
+    lo = np.minimum(t1, t2)
+    t_near = np.maximum(np.maximum(lo[..., 0], lo[..., 1]), lo[..., 2])
+    hi = np.maximum(t1, t2, out=lo)  # lo is spent; a third (..., 3) array would raise peak memory
+    t_far = np.minimum(np.minimum(hi[..., 0], hi[..., 1]), hi[..., 2])
+    return t_near, t_far
+
+
 def _box_t(origin: np.ndarray, dirs: np.ndarray, center: np.ndarray,
            half: np.ndarray, yaw: float) -> np.ndarray:
     rot = yaw_matrix(-yaw)
@@ -59,8 +79,7 @@ def _box_t(origin: np.ndarray, dirs: np.ndarray, center: np.ndarray,
     d = np.where(np.abs(d) < 1e-300, 1e-300, d)
     t1 = (-half - o) / d
     t2 = (half - o) / d
-    t_near = np.minimum(t1, t2).max(axis=-1)
-    t_far = np.maximum(t1, t2).min(axis=-1)
+    t_near, t_far = _slab_bounds(t1, t2)
     hit = (t_far >= t_near) & (t_near > _EPS)
     return np.where(hit, t_near, np.inf)
 
@@ -68,6 +87,7 @@ def _box_t(origin: np.ndarray, dirs: np.ndarray, center: np.ndarray,
 def _sphere_t(origin: np.ndarray, dirs: np.ndarray, center: np.ndarray,
               radius: float) -> np.ndarray:
     oc = origin - center
+    # Not written out: einsum matches neither (x + y) + z nor x + (y + z) on every shape.
     a = np.einsum("...i,...i->...", dirs, dirs)
     b = 2.0 * dirs @ oc
     c = oc @ oc - radius * radius
