@@ -209,13 +209,7 @@ def _camera_from_json(d: dict) -> CameraModel:
 
 
 def _id_maps_to_json(views: ViewSet) -> list:
-    out = []
-    for v in views:
-        per_cam = []
-        for oid in sorted(int(i) for i in np.unique(v.ids) if i != 0):
-            per_cam.append([oid, rle_encode(v.ids == oid)])
-        out.append(per_cam)
-    return out
+    return [[[oid, rle_encode(v.ids == oid)] for oid in v.object_ids()] for v in views]
 
 
 def _resolver(data_dir: str):

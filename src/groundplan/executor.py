@@ -24,6 +24,7 @@ from .geometry import (
     categorize,
     dbscan_filter,
     fuse_views,
+    pixel_indices,
     sq_norms,
     unproject,
     unproject_pixels,
@@ -94,7 +95,7 @@ def ground_plan(
     scene_parts = []
     id_parts = []
     for view, cam in zip(views, rig.cameras):
-        vs, us = np.nonzero((view.ids != 0) & (view.depth > 0))
+        vs, us = pixel_indices((view.ids != 0) & (view.depth > 0))
         scene_parts.append(unproject_pixels(view.depth, vs, us, cam))
         id_parts.append(view.ids[vs, us])
     scene_points = np.concatenate(scene_parts) if scene_parts else np.empty((0, 3))

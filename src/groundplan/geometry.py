@@ -21,6 +21,13 @@ order numpy's reductions add them, ((x + y) + z), because the reduction
 machinery costs more than the arithmetic on an axis of length 3. Adds in a
 fixed order round the same way every time, so results stay bit-identical
 to np.sum(..., axis=-1) and np.linalg.norm(..., axis=1).
+
+Pixel indices come from a 1-D scan of a bool mask, np.flatnonzero, whose
+flat indices are split by the frame width into rows and columns. That gives
+np.nonzero's integer indices in the same row-major order. On a 256x256 frame
+a 2-D np.nonzero, which builds multi-indices as it scans, or a scan of the
+int32 id map in place of a bool mask takes 9-16x as long as the 1-D scan,
+and 6-8x as long as the scan and the split together.
 """
 
 from __future__ import annotations
@@ -91,8 +98,16 @@ def unproject(depth: np.ndarray, mask: np.ndarray, camera: CameraModel) -> np.nd
     mask = np.asarray(mask, dtype=bool)
     if depth.shape != mask.shape:
         raise ValueError(f"depth {depth.shape} and mask {mask.shape} differ")
-    vs, us = np.nonzero(mask & (depth > 0))
+    vs, us = pixel_indices(mask & (depth > 0))
     return unproject_pixels(depth, vs, us, camera)
+
+
+def pixel_indices(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(vs, us) of a 2-D bool mask's True pixels in row-major order, equal to
+    np.nonzero(mask): its flat indices split by the width."""
+    if mask.ndim != 2:
+        raise ValueError(f"pixel mask must be 2-D, got shape {mask.shape}")
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
 
 
 def unproject_pixels(

@@ -64,10 +64,14 @@ def _slab_bounds(t1: np.ndarray, t2: np.ndarray) -> tuple[np.ndarray, np.ndarray
     Bit-identical, signed zeros included, to np.minimum(t1, t2).max(axis=-1)
     and np.maximum(t1, t2).min(axis=-1), which take x, y, z in this order.
     """
+    # Each outer call writes into the inner call's result, and hi into lo once
+    # t_near is taken: a further temporary would raise peak memory.
     lo = np.minimum(t1, t2)
-    t_near = np.maximum(np.maximum(lo[..., 0], lo[..., 1]), lo[..., 2])
-    hi = np.maximum(t1, t2, out=lo)  # lo is spent; a third (..., 3) array would raise peak memory
-    t_far = np.minimum(np.minimum(hi[..., 0], hi[..., 1]), hi[..., 2])
+    t_near = np.maximum(lo[..., 0], lo[..., 1])
+    np.maximum(t_near, lo[..., 2], out=t_near)
+    hi = np.maximum(t1, t2, out=lo)
+    t_far = np.minimum(hi[..., 0], hi[..., 1])
+    np.minimum(t_far, hi[..., 2], out=t_far)
     return t_near, t_far
 
 

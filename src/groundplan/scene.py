@@ -353,6 +353,11 @@ class View:
     def mask_for(self, oid: int) -> np.ndarray:
         return self.ids == oid
 
+    def object_ids(self) -> list[int]:
+        """The nonzero ids in the view, ascending. Only the nonzero pixels are
+        sorted; on sparse frames that is a small share of the id map."""
+        return np.unique(self.ids[self.ids != 0]).tolist()
+
 
 @dataclass
 class ViewSet:
@@ -374,7 +379,7 @@ class ViewSet:
     def visible_ids(self) -> set[int]:
         ids: set[int] = set()
         for v in self.views:
-            ids.update(int(i) for i in np.unique(v.ids) if i != 0)
+            ids.update(v.object_ids())
         return ids
 
     def digest(self) -> str:
