@@ -4,7 +4,13 @@ Rays are parametrized so that the intersection parameter t equals depth
 along the camera z axis, which is exactly the value stored in the depth map.
 Each object is pruned to the pixel rectangle covered by its projected
 bounding sphere before per-ray intersection, so cost scales with covered
-pixels rather than image area.
+pixels rather than image area. Frame-wide work is confined to the band of
+whole rows those rectangles span: the ray directions, the float64 depth
+composite and the background pass cover only that band, and the rows outside
+it are background (depth 0.0, id 0). The band is whole rows because numpy
+evaluates an (h, w, 3) @ (3, 3) product as one (w, 3) @ (3, 3) product per
+row: dropping rows leaves every other row's product, and so every bit, as it
+was, while slicing columns would change the shape of the BLAS call.
 
 Boxes are hit with the slab method (Kay & Kajiya, SIGGRAPH 1986) in its
 branch-free form (Williams et al., JGT 2005): in the box frame, each axis
@@ -194,19 +200,24 @@ def _primitives_key(prims: list[tuple[int, object]]) -> tuple:
 
 
 def render_camera(scene: Scene, cam: CameraModel) -> View:
-    depth = np.full((cam.height, cam.width), np.inf)
+    depth = np.zeros((cam.height, cam.width), dtype=np.float32)
     ids = np.zeros((cam.height, cam.width), dtype=np.int32)
-    prims = _primitives(scene)
-    if prims:
+    parts = []
+    for oid, prim in _primitives(scene):
+        rect = _pixel_rect(cam, *_bounding_sphere(prim))
+        if rect is not None:
+            parts.append((oid, prim, rect))
+    if parts:
+        # Rows outside [top, bottom) see no primitive: their depth stays 0.0.
+        top = min(rect[2] for _, _, rect in parts)
+        bottom = max(rect[3] for _, _, rect in parts)
         origin = cam.center
-        dirs_world = _camera_dirs(cam) @ cam.rotation  # R^T applied row-wise
-        for oid, prim in prims:
-            sphere_c, sphere_r = _bounding_sphere(prim)
-            rect = _pixel_rect(cam, sphere_c, sphere_r)
-            if rect is None:
-                continue
-            u0, u1, v0, v1 = rect
-            d = dirs_world[v0:v1, u0:u1]
+        dirs_world = _camera_dirs(cam)[top:bottom] @ cam.rotation  # R^T applied row-wise
+        band = np.full((bottom - top, cam.width), np.inf)
+        band_ids = ids[top:bottom]
+        for oid, prim, (u0, u1, v0, v1) in parts:
+            window = (slice(v0 - top, v1 - top), slice(u0, u1))
+            d = dirs_world[window]
             kind = prim[0]
             if kind == "box":
                 t = _box_t(origin, d, prim[1], prim[2], prim[3])
@@ -214,14 +225,13 @@ def render_camera(scene: Scene, cam: CameraModel) -> View:
                 t = _sphere_t(origin, d, prim[1], prim[2])
             else:
                 t = _cylinder_t(origin, d, prim[1], prim[2], prim[3])
-            window_d = depth[v0:v1, u0:u1]
-            window_i = ids[v0:v1, u0:u1]
+            window_d = band[window]
+            window_i = band_ids[window]
             closer = t < window_d
             window_d[closer] = t[closer]
             window_i[closer] = oid
-    background = ~np.isfinite(depth)
-    depth[background] = 0.0
-    depth = depth.astype(np.float32)
+        band[~np.isfinite(band)] = 0.0
+        depth[top:bottom] = band
     depth.flags.writeable = False
     ids.flags.writeable = False
     return View(depth=depth, ids=ids)

@@ -8,6 +8,7 @@ frame as p_cam = R @ p_world + t.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
@@ -111,8 +112,13 @@ class SceneObject:
         self.color = tuple(int(c) for c in self.color)
 
     def copy(self) -> "SceneObject":
-        shape = replace(self.shape)
-        return replace(self, shape=shape, position=self.position.copy())
+        obj = copy.copy(self)
+        obj.position = self.position.copy()
+        # Only a Prismatic is ever mutated (its fraction); other shapes are shared. Its copy
+        # re-runs __post_init__, whose re-normalised axis can move a bit outputs depend on.
+        if isinstance(self.shape, Prismatic):
+            obj.shape = replace(self.shape)
+        return obj
 
     def display_name(self) -> str:
         return display_name(self.raw_name, self.color, self.color_varies)
@@ -387,8 +393,8 @@ class ViewSet:
         if self._digest is None:
             h = hashlib.sha256()
             for v in self.views:
-                h.update(np.ascontiguousarray(v.depth).tobytes())
-                h.update(np.ascontiguousarray(v.ids).tobytes())
+                for a in (v.depth, v.ids):
+                    h.update(memoryview(np.ascontiguousarray(a)).cast("B"))
             self._digest = h.hexdigest()
         return self._digest
 

@@ -1,4 +1,10 @@
-"""Frame reuse in render_views against a full render of every camera."""
+"""Rendering against full-frame references.
+
+Frame reuse in render_views is checked against a full render of every
+camera. render_camera ray-casts only the band of rows its primitives' pixel
+rectangles span; it is checked bit for bit (`tobytes()`) against the
+full-frame render_camera it replaced, kept below as the reference.
+"""
 
 from __future__ import annotations
 
@@ -7,15 +13,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groundplan.render import render_views
+from groundplan import render
+from groundplan.render import render_camera, render_views
 from groundplan.scene import (
     Box,
+    CameraModel,
     CameraRig,
     Cylinder,
     Prismatic,
     Scene,
     SceneObject,
     Sphere,
+    View,
+    look_at,
 )
 from tests.conftest import small_camera
 
@@ -105,3 +115,140 @@ def test_rendered_frames_are_read_only():
                 view.depth[0, 0] = 1.0
             with pytest.raises(ValueError):
                 view.ids[0, 0] = 7
+
+
+# -- row band against the full frame -------------------------------------------------
+
+
+def _reference_render_camera(scene, cam):
+    """`render_camera` as it was: direction product and every pass over the full frame."""
+    depth = np.full((cam.height, cam.width), np.inf)
+    ids = np.zeros((cam.height, cam.width), dtype=np.int32)
+    prims = render._primitives(scene)
+    if prims:
+        origin = cam.center
+        dirs_world = render._camera_dirs(cam) @ cam.rotation
+        for oid, prim in prims:
+            sphere_c, sphere_r = render._bounding_sphere(prim)
+            rect = render._pixel_rect(cam, sphere_c, sphere_r)
+            if rect is None:
+                continue
+            u0, u1, v0, v1 = rect
+            d = dirs_world[v0:v1, u0:u1]
+            kind = prim[0]
+            if kind == "box":
+                t = render._box_t(origin, d, prim[1], prim[2], prim[3])
+            elif kind == "sphere":
+                t = render._sphere_t(origin, d, prim[1], prim[2])
+            else:
+                t = render._cylinder_t(origin, d, prim[1], prim[2], prim[3])
+            window_d = depth[v0:v1, u0:u1]
+            window_i = ids[v0:v1, u0:u1]
+            closer = t < window_d
+            window_d[closer] = t[closer]
+            window_i[closer] = oid
+    depth[~np.isfinite(depth)] = 0.0
+    return View(depth=depth.astype(np.float32), ids=ids)
+
+
+def _assert_same_bits(view, ref):
+    for a, b in ((view.depth, ref.depth), (view.ids, ref.ids)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def _band_camera(height, width, eye, f=1.0, offset=(0.0, 0.0)):
+    rot, t = look_at(eye, (0.0, 0.0, 0.05))
+    return CameraModel(
+        fx=f * width, fy=f * height,
+        cx=width / 2.0 + offset[0], cy=height / 2.0 + offset[1],
+        width=width, height=height, rotation=rot, translation=t,
+    )
+
+
+def _at_pixel(cam, u, v, z):
+    """World point that projects to pixel (u, v) at camera depth z."""
+    p_cam = np.array([(u - cam.cx) / cam.fx * z, (v - cam.cy) / cam.fy * z, z])
+    return cam.rotation.T @ (p_cam - cam.translation)
+
+
+def _placed_scene(cam, placements):
+    """One object per (shape, u, v, z, yaw), u and v as fractions of the frame."""
+    objects = []
+    for i, (shape, u, v, z, yaw) in enumerate(placements):
+        pos = _at_pixel(cam, u * cam.width, v * cam.height, z)
+        objects.append(SceneObject(id=i + 1, raw_name="thing", color=(0, 0, 0),
+                                   shape=shape, position=pos, yaw=yaw))
+    return Scene(objects=objects)
+
+
+_drawer = st.builds(
+    Prismatic,
+    body_half=st.tuples(_size, _size, _size).map(np.array),
+    slider_half=st.just(np.array([0.01, 0.03, 0.01])),
+    slider_offset=st.just(np.array([0.05, 0.0, 0.0])),
+    axis=st.tuples(st.floats(0.1, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    travel=st.just(0.04),
+    fraction=st.floats(0.0, 1.0),
+)
+_frame_side = st.integers(8, 72)
+_eye = st.one_of(
+    st.tuples(st.floats(-0.9, 0.9), st.floats(-0.9, 0.9), st.floats(0.2, 0.9)),
+    st.floats(0.1, 0.8).map(lambda z: (0.0, 0.0, z + 0.05)),  # straight down, as the wrist
+)
+# Camera depth: in front of the camera or behind it.
+_depth = st.one_of(st.floats(0.15, 1.5), st.floats(-0.3, -0.05))
+_placement = st.tuples(
+    st.one_of(_shape, _drawer),
+    st.floats(-0.3, 1.3), st.floats(-0.3, 1.3), _depth, st.floats(-3.1, 3.1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    height=_frame_side, width=_frame_side, eye=_eye,
+    f=st.floats(0.4, 2.0), offset=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    placements=st.lists(_placement, min_size=1, max_size=5),
+    near=st.booleans(),
+)
+def test_row_band_render_equals_the_full_frame_reference(height, width, eye, f, offset,
+                                                         placements, near):
+    cam = _band_camera(height, width, eye, f=f, offset=offset)
+    if near:  # the camera inside the last object's bounding sphere: a full-frame rectangle
+        placements[-1] = placements[-1][:3] + (0.005,) + placements[-1][4:]
+    scene = _placed_scene(cam, placements)
+    _assert_same_bits(render_camera(scene, cam), _reference_render_camera(scene, cam))
+
+
+@pytest.mark.parametrize("height,width", [(40, 64), (64, 40)])
+@pytest.mark.parametrize("case", ["top-row", "bottom-row", "top-and-bottom",
+                                  "inside-bounding-sphere", "none-visible", "empty"])
+def test_row_band_edge_cases(case, height, width):
+    cam = _band_camera(height, width, (0.6, 0.2, 0.5))
+    ball = Sphere(radius=0.03)
+    placements = {
+        "top-row": [(ball, 0.5, 0.0, 0.6, 0.0)],
+        "bottom-row": [(ball, 0.3, 1.0, 0.6, 0.0)],
+        "top-and-bottom": [(ball, 0.2, 0.0, 0.6, 0.0),
+                           (Box(half_extents=np.array([0.02, 0.03, 0.01])), 0.8, 1.0, 0.5, 0.4)],
+        "inside-bounding-sphere": [(Box(half_extents=np.array([0.08, 0.08, 0.005])),
+                                    0.5, 0.9, 0.07, 0.2),
+                                   (ball, 0.5, 0.2, 0.6, 0.0)],
+        "none-visible": [(ball, 0.5, 0.5, -0.2, 0.0), (ball, 3.0, 0.5, 0.6, 0.0)],
+        "empty": [],
+    }[case]
+    scene = _placed_scene(cam, placements)
+    view = render_camera(scene, cam)
+    _assert_same_bits(view, _reference_render_camera(scene, cam))
+    hit = view.ids != 0
+    if case in ("top-row", "top-and-bottom"):
+        assert hit[0].any()
+    if case in ("bottom-row", "top-and-bottom"):
+        assert hit[-1].any()
+    if case == "inside-bounding-sphere":  # both objects are hit
+        assert set(np.unique(view.ids)) == {0, 1, 2}
+        assert render._pixel_rect(cam, *render._bounding_sphere(
+            render._primitives(scene)[0][1])) == (0, width, 0, height)
+    if case in ("none-visible", "empty"):
+        assert not hit.any()
+        assert view.depth.tobytes() == np.zeros((height, width), np.float32).tobytes()

@@ -374,6 +374,31 @@ def test_step_motion_is_pure(suite):
     assert scene_key(scene) == before
 
 
+def test_scene_copy_mutations_do_not_reach_the_original():
+    drawer = SceneObject(
+        id=2, raw_name="drawer", color=(0, 0, 0),
+        shape=Prismatic(
+            body_half=np.array([0.07, 0.05, 0.03]),
+            slider_half=np.array([0.055, 0.04, 0.02]),
+            slider_offset=np.array([0.0, 0.0, 0.005]),
+            axis=np.array([0.6, 0.3, 0.1]),
+            travel=0.09,
+            fraction=0.25,
+        ),
+        position=np.array([0.1, 0.0, 0.03]),
+    )
+    scene = Scene(objects=[block(), drawer], roles={"target": 1})
+    before = scene_key(scene)
+    copied = scene.copy()
+    assert scene_key(copied) == before
+    copied.objects[0].position[0] += 0.1
+    copied.objects[1].position[2] = 0.5
+    copied.objects[0].yaw = 1.0
+    copied.objects[1].shape.fraction = 0.75
+    copied.roles["goal"] = 2
+    assert scene_key(scene) == before
+
+
 # -- success predicates ------------------------------------------------------------
 
 
