@@ -255,7 +255,7 @@ def _views_from_json(id_maps: list, depth_files: list[str], cameras: list[Camera
                 ids[rle_decode(runs, shape)] = oid
         except ValueError as e:
             raise DatasetReadError(json_path, 0, f"id_maps[{i}]: {e}") from e
-        ids.flags.writeable = False  # read-only like rendered frames: a kept digest stays valid
+        ids.flags.writeable = False  # read-only frames: an identity match implies equal bytes
         views.append(View(depth=depth, ids=ids))
     return ViewSet(views)
 

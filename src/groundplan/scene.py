@@ -368,7 +368,6 @@ class View:
 @dataclass
 class ViewSet:
     views: list[View]
-    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.views)
@@ -389,14 +388,12 @@ class ViewSet:
         return ids
 
     def digest(self) -> str:
-        """sha256 over every view's depth and id bytes, computed once: frames are read-only."""
-        if self._digest is None:
-            h = hashlib.sha256()
-            for v in self.views:
-                for a in (v.depth, v.ids):
-                    h.update(memoryview(np.ascontiguousarray(a)).cast("B"))
-            self._digest = h.hexdigest()
-        return self._digest
+        """sha256 over every view's depth and id bytes."""
+        h = hashlib.sha256()
+        for v in self.views:
+            for a in (v.depth, v.ids):
+                h.update(memoryview(np.ascontiguousarray(a)).cast("B"))
+        return h.hexdigest()
 
 
 # -- shape JSON (task suites) ------------------------------------------------

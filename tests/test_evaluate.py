@@ -55,7 +55,7 @@ def test_oracle_scores_perfect(plan_dataset):
         assert metrics.grd == 100.0
 
 
-def test_scoring_hashes_each_records_frames_once(plan_dataset, monkeypatch):
+def test_scoring_hashes_no_frames(plan_dataset, monkeypatch):
     import hashlib
 
     _, records = read_dataset(plan_dataset)
@@ -76,8 +76,28 @@ def test_scoring_hashes_each_records_frames_once(plan_dataset, monkeypatch):
     result = eval_offline(records, ReplayPlanner.from_records(records))
     assert all(m.act == m.obj == m.grd == 100.0 for m in result.groups.values())
     views = [v for rec in records for v in rec.views]
-    assert sum(hashed) == sum(v.depth.nbytes + v.ids.nbytes for v in views)
+    assert sum(hashed) == 0
     assert not any(v.depth.flags.writeable or v.ids.flags.writeable for v in views)
+
+
+def test_scoring_compares_no_frames(plan_dataset, monkeypatch):
+    """Records of one variation share instruction and histories across its
+    episodes; the depth sample in the key must still give each its own bucket."""
+    from groundplan import planners
+    from tests.test_planners import DigestReplayPlanner
+
+    _, records = read_dataset(plan_dataset)
+    real, compared = planners._same_frames, []
+
+    def counting(a, b):
+        compared.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(planners, "_same_frames", counting)
+    result = eval_offline(records, ReplayPlanner.from_records(records))
+    assert not compared
+    reference = eval_offline(records, DigestReplayPlanner.from_records(records))
+    assert result.to_json() == reference.to_json()
 
 
 def test_malformed_planner_scores_zero(plan_dataset):

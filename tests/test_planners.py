@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from groundplan.planlang import MalformedMarkup, parse_plan
+from groundplan.planlang import GroundedPlan, GroundedReference, MalformedMarkup, parse_plan
 from groundplan.planners import (
     CorruptedPlanner,
     CorruptionConfig,
@@ -226,3 +230,110 @@ def test_replay_planner_reproduces_records(tmp_path, suite, small_rig):
         assert text == rec.plan_text
     with pytest.raises(KeyError):
         planner.plan("unknown instruction", records[0].views, [], [])
+
+
+class DigestReplayPlanner:
+    """The replay planner keyed on a sha256 of the frames; the reference."""
+
+    def __init__(self, outputs):
+        self._outputs = outputs
+
+    @classmethod
+    def from_records(cls, records):
+        outputs = {}
+        for rec in records:
+            key = (rec.instruction, tuple(rec.history), rec.views.digest())
+            stacks = [ref.masks for _, ref in rec.gt_plan.references()]
+            outputs[key] = (rec.plan_text, stacks)
+        return cls(outputs)
+
+    def plan(self, instruction, views, history, inventory):
+        key = (instruction, tuple(history), views.digest())
+        try:
+            return self._outputs[key]
+        except KeyError:
+            raise KeyError(
+                "replay planner has no output for this (instruction, history, views) call"
+            ) from None
+
+
+def _answer(planner, instruction, views, history):
+    try:
+        text, stacks = planner.plan(instruction, views, list(history), [])
+    except KeyError as e:
+        return "KeyError", str(e)
+    return text, [[id(m) for m in stack] for stack in stacks]
+
+
+def _frames_copy(views, change=None):
+    """Read-only copies of the frames, `change(depth, ids)` applied to the first view's."""
+    out = []
+    for i, v in enumerate(views):
+        depth, ids = v.depth.copy(), v.ids.copy()
+        if change is not None and i == 0:
+            change(depth, ids)
+        depth.flags.writeable = ids.flags.writeable = False
+        out.append(View(depth=depth, ids=ids))
+    return ViewSet(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    h=st.integers(1, 80),
+    w=st.integers(1, 80),
+    n_views=st.integers(1, 3),
+    n_records=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_replay_lookup_matches_digest_keyed_reference(h, w, n_views, n_records, seed):
+    rng = np.random.default_rng(seed)
+    records = []
+
+    def record(instruction, history, views):
+        mask = np.zeros((h, w), dtype=bool)
+        plan = GroundedPlan("grasp", object=GroundedReference("block", [mask] * n_views))
+        return SimpleNamespace(instruction=instruction, history=history, views=views,
+                               plan_text=f"plan {len(records)}", gt_plan=plan)
+
+    for _ in range(n_records):
+        if records and rng.random() < 0.3:
+            views = _frames_copy(records[int(rng.integers(len(records)))].views)
+        else:
+            views = _frames_copy(ViewSet([
+                View(depth=rng.choice([0.0, 0.25, 0.5], size=(h, w)).astype(np.float32),
+                     ids=rng.integers(0, 3, size=(h, w), dtype=np.int32))
+                for _ in range(n_views)
+            ]))
+        history = [(), ("a",), ("a", "b")][int(rng.integers(3))]
+        records.append(record(["open", "close"][int(rng.integers(2))], history, views))
+    # A later record with equal frames but another plan text replaces the earlier one.
+    dup = records[int(rng.integers(len(records)))]
+    same = dup.views if rng.random() < 0.5 else _frames_copy(dup.views)
+    records.append(record(dup.instruction, dup.history, same))
+    records = [records[i] for i in rng.permutation(len(records))]
+
+    planner = ReplayPlanner.from_records(records)
+    reference = DigestReplayPlanner.from_records(records)
+    off_grid = [(r, c) for r in range(h) for c in range(w)
+                if r % max(1, h // 16) or c % max(1, w // 16)]
+
+    def flip_depth_byte(depth, ids):
+        r, c = off_grid[int(rng.integers(len(off_grid)))]
+        depth.reshape(-1).view(np.uint8)[4 * (r * w + c) + int(rng.integers(4))] ^= 1
+
+    def change_id(depth, ids):
+        ids[int(rng.integers(h)), int(rng.integers(w))] += 1
+
+    def negate_zero(depth, ids):
+        zeros = [(r, c) for r, c in off_grid if depth[r, c] == 0.0] or [(0, 0)]
+        depth[zeros[int(rng.integers(len(zeros)))]] = -0.0
+
+    for rec in records:
+        lookups = [rec.views, _frames_copy(rec.views),
+                   _frames_copy(rec.views, change_id), _frames_copy(rec.views, negate_zero)]
+        if off_grid:
+            lookups.append(_frames_copy(rec.views, flip_depth_byte))
+        for views in lookups:
+            for other in records:
+                call = (other.instruction, views, other.history)
+                assert _answer(planner, *call) == _answer(reference, *call)
