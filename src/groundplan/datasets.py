@@ -14,6 +14,13 @@ records/ and raw depth under depth/ (8-byte width/height header, then
 row-major little-endian float32). Masks and id maps are RLE-encoded in the
 record JSON. Generation is byte-deterministic for a fixed (suite, counts,
 seed).
+
+A view read from a dataset keeps its id map as the record's runs and decodes
+it into the int32 frame the first time ``.ids`` is read. Offline replay
+scoring matches views by identity and scores against the ground-truth masks,
+so it rarely reads an id map, and decoding every one when the record is read
+was a third or more of the read cost. Every id-map entry is still checked
+then, so a malformed one fails in ``read_dataset``, never later during scoring.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -235,6 +243,44 @@ def _resolver(data_dir: str):
     return inside
 
 
+class _RunsView(View):
+    """A view read from a dataset: its id map stays as the record's [oid, runs]
+    entries until .ids is first read, which decodes it once (later entries win)."""
+
+    def __init__(self, depth: np.ndarray, id_runs: list):
+        self.depth = depth
+        self._id_runs = id_runs
+
+    @cached_property
+    def ids(self) -> np.ndarray:
+        ids = np.zeros(self.depth.shape, dtype=np.int32)
+        for oid, runs in self._id_runs:
+            ids[rle_decode(runs, ids.shape)] = oid
+        ids.flags.writeable = False  # read-only frames: an identity match implies equal bytes
+        return ids
+
+
+def _check_id_map(per_cam, pixels: int) -> None:
+    """Raise ValueError unless per_cam is a list of [oid, runs] entries, each oid
+    a JSON integer in int32 range and each runs non-negative JSON integers that
+    sum to pixels: what _RunsView.ids needs to decode without error."""
+    if type(per_cam) is not list:
+        raise ValueError("expected a list of [oid, runs] entries")
+    for j, entry in enumerate(per_cam):
+        if type(entry) is not list or len(entry) != 2:
+            raise ValueError(f"entry {j} is not an [oid, runs] pair")
+        oid, runs = entry
+        if type(oid) is not int or not -2**31 <= oid < 2**31:
+            raise ValueError(f"object id {oid!r} is not an int32 (entry {j})")
+        if type(runs) is not list or not set(map(type, runs)) <= {int}:
+            raise ValueError(f"run lengths must be a list of integers (entry {j})")
+        if runs and min(runs) < 0:
+            raise ValueError(f"run lengths must be non-negative (entry {j})")
+        total = sum(runs)
+        if total != pixels:
+            raise ValueError(f"run lengths sum to {total}, expected {pixels} (entry {j})")
+
+
 def _views_from_json(id_maps: list, depth_files: list[str], cameras: list[CameraModel],
                      inside, json_path: str) -> ViewSet:
     for field, entries in (("depth_files", depth_files), ("id_maps", id_maps)):
@@ -244,19 +290,15 @@ def _views_from_json(id_maps: list, depth_files: list[str], cameras: list[Camera
     views = []
     for i, (per_cam, depth_file, cam) in enumerate(zip(id_maps, depth_files, cameras)):
         depth = read_depth(inside(depth_file, json_path, f"depth_files[{i}]"))
-        shape = (cam.height, cam.width)
-        if depth.shape != shape:
+        if depth.shape != (cam.height, cam.width):
             raise DatasetReadError(
                 json_path, 0, f"depth_files[{i}] {depth_file!r} is {depth.shape[1]}x"
                 f"{depth.shape[0]}, its camera {cam.width}x{cam.height}")
-        ids = np.zeros(shape, dtype=np.int32)
         try:
-            for oid, runs in per_cam:
-                ids[rle_decode(runs, shape)] = oid
+            _check_id_map(per_cam, depth.size)
         except ValueError as e:
             raise DatasetReadError(json_path, 0, f"id_maps[{i}]: {e}") from e
-        ids.flags.writeable = False  # read-only frames: an identity match implies equal bytes
-        views.append(View(depth=depth, ids=ids))
+        views.append(_RunsView(depth, per_cam))
     return ViewSet(views)
 
 

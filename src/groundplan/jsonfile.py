@@ -18,8 +18,8 @@ def read_json(path: str, parse=dict, error: type[JsonFileError] = JsonFileError)
     """parse() of the JSON object in path.
 
     Bad JSON, a top-level value that is not an object, and a field that
-    parse() finds missing or rejects with a ValueError are each an `error`
-    naming the path.
+    parse() finds missing or rejects with a TypeError or ValueError are each
+    an `error` naming the path.
     """
     try:
         with open(path) as f:
@@ -32,5 +32,5 @@ def read_json(path: str, parse=dict, error: type[JsonFileError] = JsonFileError)
         return parse(payload)
     except KeyError as e:
         raise error(path, 0, f"missing field {e.args[0]!r}") from e
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise error(path, 0, str(e)) from e

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from groundplan.datasets import (
     DatasetReadError,
     _resolver,
+    _views_from_json,
     _run_oracle_episodes,
     extract_keysteps,
     gen_long_dataset,
@@ -26,10 +27,11 @@ from groundplan.datasets import (
     write_depth,
 )
 from groundplan.executor import run_episode
+from groundplan.masks import rle_decode, rle_encode
 from groundplan.objectives import iou
 from groundplan.planlang import history_text
 from groundplan.planners import CorruptionConfig, corrupt, oracle_factory
-from groundplan.scene import default_rig
+from groundplan.scene import CameraModel, View, ViewSet, default_rig
 from groundplan.tasks import task_from_json, task_to_json
 
 
@@ -382,6 +384,27 @@ def test_missing_field_reports_file_and_field(tmp_path, suite, small_rig, capsys
     assert f"missing field '{field}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("victim, field, value", [
+    ("records/", "history", 5),
+    ("records/", "cameras", "abc"),
+    ("manifest.json", "counts", [1]),
+], ids=["record-history-int", "record-cameras-string", "manifest-counts-list"])
+def test_wrong_field_type_reports_file(tmp_path, suite, small_rig, capsys, victim, field, value):
+    from groundplan.cli import main
+
+    man = gen_plan_dataset(suite[:1], 1, 0, str(tmp_path), rig=small_rig)
+    name = victim if victim == "manifest.json" else [f for f in man.files if f.startswith(victim)][0]
+    path = tmp_path / name
+    payload = json.loads(path.read_text())
+    payload[field] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DatasetReadError) as err:
+        read_dataset(str(tmp_path))
+    assert name in str(err.value)
+    assert main(["eval-offline", "--data", str(tmp_path)]) == 1
+    assert name in capsys.readouterr().err
+
+
 # -- untrusted paths and shapes ------------------------------------------------------
 
 
@@ -414,6 +437,16 @@ def _bad_runs(rec, data):
     rec["id_maps"][1][0][1][0] += 1
 
 
+def _set_oid(value):
+    def edit(rec, data):
+        rec["id_maps"][1][0][0] = value
+    return edit
+
+
+def _float_run(rec, data):
+    rec["id_maps"][1][0][1][0] = float(rec["id_maps"][1][0][1][0])
+
+
 @pytest.mark.parametrize("edit, message", [
     (_relative_escape, "depth_files[0] '../outside.bin' escapes the dataset directory"),
     (_absolute_escape, "escapes the dataset directory"),
@@ -422,9 +455,14 @@ def _bad_runs(rec, data):
     (lambda rec, data: rec["id_maps"].pop(), "id_maps has 1 entries for 2 cameras"),
     (_wrong_resolution, "depth_files[1] "),
     (_bad_runs, "id_maps[1]: run lengths sum to"),
+    (_set_oid(3.7), "id_maps[1]: object id 3.7 is not an int32"),
+    (_set_oid("x"), "id_maps[1]: object id 'x' is not an int32"),
+    (_set_oid(2**40), f"id_maps[1]: object id {2**40} is not an int32"),
+    (_float_run, "id_maps[1]: run lengths must be a list of integers"),
 ], ids=["depth-relative-escape", "depth-absolute-escape", "depth-symlink-escape",
         "depth-files-short",
-        "id-maps-short", "depth-resolution", "id-map-runs"])
+        "id-maps-short", "depth-resolution", "id-map-runs",
+        "id-map-oid-float", "id-map-oid-string", "id-map-oid-int64", "id-map-run-float"])
 def test_malformed_record_reports_file_and_field(tmp_path, suite, small_rig, edit, message):
     data = tmp_path / "data"
     man = gen_plan_dataset(suite[:1], 1, 0, str(data), rig=small_rig)
@@ -476,5 +514,71 @@ def test_resolver_agrees_with_realpath(tmp_path):
         else:
             with pytest.raises(DatasetReadError):
                 inside(name, "manifest.json", "files[0]")
+
+    check()
+
+
+# -- lazily decoded id maps -----------------------------------------------------------
+
+
+def eager_views(id_maps, depths) -> ViewSet:
+    """The reference: each view's id map decoded into one read-only int32 frame
+    when the record is read, later [oid, runs] entries winning where they overlap."""
+    views = []
+    for per_cam, depth in zip(id_maps, depths):
+        ids = np.zeros(depth.shape, dtype=np.int32)
+        for oid, runs in per_cam:
+            ids[rle_decode(runs, depth.shape)] = oid
+        ids.flags.writeable = False
+        views.append(View(depth=depth, ids=ids))
+    return ViewSet(views)
+
+
+def test_lazy_id_maps_match_the_eager_decode(tmp_path):
+    (tmp_path / "depth").mkdir()
+    inside = _resolver(str(tmp_path))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def check(data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shapes = data.draw(st.lists(st.tuples(st.integers(1, 40), st.integers(1, 40)),
+                                    min_size=1, max_size=3))
+        id_maps, names, cameras = [], [], []
+        for i, (h, w) in enumerate(shapes):
+            per_cam = []
+            for oid in data.draw(st.lists(st.integers(1, 6), max_size=5)):
+                r0, r1 = sorted(rng.integers(0, h + 1, size=2))
+                c0, c1 = sorted(rng.integers(0, w + 1, size=2))
+                mask = np.zeros((h, w), dtype=bool)
+                mask[r0:r1, c0:c1] = rng.random((r1 - r0, c1 - c0)) < rng.choice([0.3, 1.0])
+                per_cam.append([oid, rle_encode(mask)])
+            id_maps.append(per_cam)
+            names.append(f"depth/v{i}.bin")
+            write_depth(str(tmp_path / names[-1]), rng.random((h, w)))
+            cameras.append(CameraModel(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=w, height=h,
+                                       rotation=np.eye(3), translation=np.zeros(3)))
+        id_maps = json.loads(json.dumps(id_maps))  # as the reader receives them
+        lazy = _views_from_json(id_maps, names, cameras, inside, "rec.json")
+        ref = eager_views(id_maps, [v.depth for v in lazy])
+
+        first = data.draw(st.sampled_from(["ids", "digest", "object_ids", "masks_for"]))
+        if first == "digest":
+            assert lazy.digest() == ref.digest()
+        elif first == "object_ids":
+            assert [v.object_ids() for v in lazy] == [v.object_ids() for v in ref]
+        elif first == "masks_for":
+            assert all(np.array_equal(a, b) for a, b in zip(lazy.masks_for(1), ref.masks_for(1)))
+        for v, r in zip(lazy, ref):
+            assert v.ids.dtype == np.int32 and v.ids.shape == r.ids.shape
+            assert v.ids.tobytes() == r.ids.tobytes()
+            assert not v.ids.flags.writeable
+            assert v.ids is v.ids
+        assert lazy.digest() == ref.digest()
+        assert [v.object_ids() for v in lazy] == [v.object_ids() for v in ref]
+        assert lazy.visible_ids() == ref.visible_ids()
+        for oid in range(8):  # 0 is background, 7 is in no view
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(lazy.masks_for(oid), ref.masks_for(oid)))
 
     check()

@@ -100,6 +100,38 @@ def test_scoring_compares_no_frames(plan_dataset, monkeypatch):
     assert result.to_json() == reference.to_json()
 
 
+def test_replay_scoring_decodes_no_id_maps(plan_dataset, monkeypatch):
+    """Replay scoring never reads an id map. A corrupted replay that swaps in
+    other objects' masks decodes them, and scores as eagerly decoded views do."""
+    from dataclasses import replace
+
+    from groundplan import datasets
+    from tests.test_datasets import eager_views
+
+    _, records = read_dataset(plan_dataset)
+    real, decoded = datasets.rle_decode, []
+
+    def counting(runs, shape):
+        decoded.append(1)
+        return real(runs, shape)
+
+    monkeypatch.setattr(datasets, "rle_decode", counting)
+    result = eval_offline(records, ReplayPlanner.from_records(records))
+    assert not decoded
+    assert all(m.act == m.obj == m.grd == 100.0 for m in result.groups.values())
+
+    eager = []
+    for rec in records:
+        with open(f"{plan_dataset}/{datasets._record_filename(rec)}") as f:
+            id_maps = json.load(f)["id_maps"]
+        eager.append(replace(rec, views=eager_views(id_maps, [v.depth for v in rec.views])))
+    cfg = CorruptionConfig(p_wrong_object=1.0)
+    corrupted = [eval_offline(recs, CorruptedPlanner(ReplayPlanner.from_records(recs), cfg, 22))
+                 for recs in (records, eager)]
+    assert decoded
+    assert corrupted[0].to_json() == corrupted[1].to_json()
+
+
 def test_malformed_planner_scores_zero(plan_dataset):
     _, records = read_dataset(plan_dataset)
     result = eval_offline(records, MalformedPlanner())
