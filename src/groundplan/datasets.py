@@ -107,17 +107,7 @@ class DatasetManifest:
     files: list[str] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "suite_hash": self.suite_hash,
-            "seed": self.seed,
-            "episodes_per_variation": self.episodes_per_variation,
-            "counts": self.counts,
-            "total_records": self.total_records,
-            "total_episodes": self.total_episodes,
-            "mean_keysteps_per_episode": self.mean_keysteps_per_episode,
-            "files": sorted(self.files),
-        }
+        return {**vars(self), "files": sorted(self.files)}
 
     @classmethod
     def from_json(cls, d: dict) -> "DatasetManifest":
@@ -197,13 +187,8 @@ def read_depth(path: str) -> np.ndarray:
 
 
 def _camera_to_json(cam: CameraModel) -> dict:
-    return {
-        "fx": cam.fx, "fy": cam.fy, "cx": cam.cx, "cy": cam.cy,
-        "width": cam.width, "height": cam.height,
-        "rotation": cam.rotation.reshape(-1).tolist(),
-        "translation": cam.translation.tolist(),
-        "role": cam.role,
-    }
+    return {**vars(cam), "rotation": cam.rotation.reshape(-1).tolist(),
+            "translation": cam.translation.tolist()}
 
 
 def _camera_from_json(d: dict) -> CameraModel:
@@ -564,22 +549,15 @@ def gen_long_horizon(
     instruction = joint_instruction(trace_a.instruction, trace_b.instruction, seed)
     recs_a = _records_from_trace(trace_a, episode_id)
     recs_b = _records_from_trace(trace_b, episode_id)
-    prefix = tuple(
-        history_text(trace_a.steps[i].plan) for i in extract_keysteps(trace_a)
-    )
-    out = []
-    for rec in recs_a:
-        rec.kind = "long"
-        rec.instruction = instruction
-        rec.pair = (trace_a.task_key, trace_b.task_key)
-        out.append(rec)
+    prefix = recs_a[-1].history + (history_text(recs_a[-1].gt_plan),) if recs_a else ()
     for rec in recs_b:
-        rec.kind = "long"
-        rec.instruction = instruction
         rec.history = prefix + rec.history
         rec.keystep = len(prefix) + rec.keystep
+    out = recs_a + recs_b
+    for rec in out:
+        rec.kind = "long"
+        rec.instruction = instruction
         rec.pair = (trace_a.task_key, trace_b.task_key)
-        out.append(rec)
     return out
 
 

@@ -53,18 +53,8 @@ class OfflineResult:
     def to_json(self) -> dict:
         return {
             "type": "offline",
-            "groups": {
-                g: {"act": m.act, "obj": m.obj, "grd": m.grd, "keysteps": m.keysteps}
-                for g, m in sorted(self.groups.items())
-            },
-            "rows": [
-                {
-                    "episode": r.episode, "keystep": r.keystep, "task": r.task,
-                    "group": r.group, "act": r.act, "obj": r.obj, "grd": r.grd,
-                    "error": r.error,
-                }
-                for r in self.rows
-            ],
+            "groups": {g: dict(vars(m)) for g, m in sorted(self.groups.items())},
+            "rows": [dict(vars(r)) for r in self.rows],
         }
 
     @classmethod

@@ -124,13 +124,6 @@ def _legs_toward(start: np.ndarray, target: np.ndarray, limit: int) -> list[Moti
     return [translate(*step) for _ in range(min(n, limit))]
 
 
-def _label_centroid(cloud: LabeledPointCloud, label: int, what: str) -> np.ndarray:
-    pts = cloud.select(label)
-    if len(pts) == 0:
-        raise NoTargetPointsError(f"no {what} points in the grounded cloud")
-    return pts.mean(axis=0)
-
-
 def _held_height(cloud: LabeledPointCloud) -> float:
     pts = cloud.select(ROBOT)
     if len(pts) < 2:
@@ -138,9 +131,15 @@ def _held_height(cloud: LabeledPointCloud) -> float:
     return max(0.03, float(pts[:, 2].max() - pts[:, 2].min()))
 
 
-def _masks_nonempty(plan: GroundedPlan, slot: str) -> bool:
+def _no_points(plan: GroundedPlan, slot: str, what: str,
+               fallback: list[MotionStep]) -> list[MotionStep]:
+    """The steps for a reference whose grounded cloud has no points: `fallback`
+    when its masks are nonempty (the target sits within the robot radius, so
+    its points were labelled robot), else a NoTargetPointsError."""
     ref = getattr(plan, slot)
-    return ref is not None and any(np.any(m) for m in ref.masks)
+    if ref is not None and any(np.any(m) for m in ref.masks):
+        return fallback
+    raise NoTargetPointsError(f"no {what} points in the grounded cloud")
 
 
 def _target_object_points(cloud: LabeledPointCloud, gripper: GripperState) -> np.ndarray:
@@ -183,11 +182,8 @@ def motion_policy(
     if plan.action == "grasp":
         pts = _target_object_points(cloud, gripper)
         if not len(pts):
-            # Nonempty masks with no recoverable points: the target sits
-            # right under the gripper; close on it.
-            if _masks_nonempty(plan, "object"):
-                return [close_gripper()]
-            raise NoTargetPointsError("no target-object points in the grounded cloud")
+            # The target sits right under the gripper: close on it.
+            return _no_points(plan, "object", "target-object", [close_gripper()])
         target = pts.mean(axis=0)
         if float(np.linalg.norm(target - pos)) <= 0.015:
             return [close_gripper()]
@@ -198,11 +194,11 @@ def motion_policy(
         # points outside the robot-proximity radius.
         return legs[:4]
     if plan.action == "move grasped object":
-        if not len(cloud.select(TARGET_LOCATION)):
-            if _masks_nonempty(plan, "location"):
-                return [translate(0.0, 0.0, 0.0)]  # hovering over the target
-            raise NoTargetPointsError("no target-location points in the grounded cloud")
-        target = _label_centroid(cloud, TARGET_LOCATION, "target-location")
+        pts = cloud.select(TARGET_LOCATION)
+        if not len(pts):
+            # Hovering over the target.
+            return _no_points(plan, "location", "target-location", [translate(0.0, 0.0, 0.0)])
+        target = pts.mean(axis=0)
         hover = target + np.array([0.0, 0.0, _held_height(cloud)])
         legs = _legs_toward(pos, hover, limit=5)
         return legs if legs else [translate(0.0, 0.0, 0.0)]
@@ -218,10 +214,9 @@ def motion_policy(
         )
         pts = _target_object_points(cloud, gripper)
         if not len(pts):
-            if _masks_nonempty(plan, "object"):
-                # Target absorbed into the robot radius: stroke from here.
-                return _legs_toward(pos, pos + direction * PUSH_STROKE, limit=5)
-            raise NoTargetPointsError("no target-object points in the grounded cloud")
+            # Stroke from here.
+            stroke = _legs_toward(pos, pos + direction * PUSH_STROKE, limit=5)
+            return _no_points(plan, "object", "target-object", stroke)
         target = pts.mean(axis=0)
         start = target - direction * (PUSH_STROKE / 2.0)
         end = target + direction * (PUSH_STROKE / 2.0)
@@ -422,11 +417,7 @@ def trace_to_jsonl(trace: EpisodeTrace, path: str) -> None:
                 "error": s.error,
                 "action": s.plan.action if s.plan else None,
                 "cloud_counts": s.cloud_counts,
-                "motion": [
-                    {"kind": m.kind, "delta": m.delta, "object_id": m.object_id,
-                     "amount": m.amount}
-                    for m in s.motion
-                ],
+                "motion": [dict(vars(m)) for m in s.motion],
                 "gripper_position": list(s.gripper_position),
                 "gripper_held": s.gripper_held,
                 "history_before": list(s.history_before),

@@ -18,6 +18,8 @@ from typing import Callable, Protocol
 import numpy as np
 
 from .planlang import (
+    DEFAULT_SCHEMA,
+    SEG,
     GroundedPlan,
     GroundedReference,
     parse_plan,
@@ -25,10 +27,15 @@ from .planlang import (
 )
 from .scene import ViewSet
 from .simulate import Simulation
-from .tasks import PlanSlot, TaskScript
+from .tasks import PlanSlot, TaskScript, predicate_terms
 
 MaskStack = list[np.ndarray]
 PlannerOutput = tuple[str, list[MaskStack]]
+
+
+def _output(plan: GroundedPlan) -> PlannerOutput:
+    """A plan as planner output: its text and each reference's mask stack."""
+    return serialize_plan(plan), [ref.masks for _, ref in plan.references()]
 
 
 class Planner(Protocol):
@@ -88,19 +95,10 @@ class OraclePlanner:
         return self._rests_on(obj, loc_role) or near3d <= 0.05
 
     def _joint_target(self, role: str) -> float:
-        def scan(pred) -> float | None:
-            if pred["kind"] == "all_of":
-                for term in pred["terms"]:
-                    got = scan(term)
-                    if got is not None:
-                        return got
-                return None
-            if pred["kind"] in ("joint_at_least", "joint_at_most") and pred["object"] == role:
-                return float(pred["threshold"])
-            return None
-
-        got = scan(self.task.success)
-        return 0.99 if got is None else got
+        for term in predicate_terms(self.task.success):
+            if term["kind"] in ("joint_at_least", "joint_at_most") and term["object"] == role:
+                return float(term["threshold"])
+        return 0.99
 
     def _subplan_done(self, idx: int, history: list[str]) -> bool:
         slot = self.task.plan[idx]
@@ -130,8 +128,6 @@ class OraclePlanner:
             over = horiz <= 0.035 and -0.02 <= drop <= 0.06
             return over or self._rests_on(obj, slot.location_role)
         if slot.action == "rotate grasped object":
-            from .planlang import DEFAULT_SCHEMA
-
             text = DEFAULT_SCHEMA["rotate grasped object"].history
             return text in history
         if slot.action == "release":
@@ -166,15 +162,13 @@ class OraclePlanner:
         slot = self._next_slot(list(history))
         scene = self.sim.scene
         plan = GroundedPlan(action=slot.action)
-        stacks: list[MaskStack] = []
         for attr, role in (("object", slot.object_role), ("location", slot.location_role)):
             if role is None:
                 continue
             obj = scene.role_object(role)
-            stack = views.masks_for(obj.id)
-            setattr(plan, attr, GroundedReference(text=obj.display_name(), masks=stack))
-            stacks.append(stack)
-        return serialize_plan(plan), stacks
+            setattr(plan, attr, GroundedReference(text=obj.display_name(),
+                                                  masks=views.masks_for(obj.id)))
+        return _output(plan)
 
 
 def oracle_factory(ctx: EpisodeContext) -> OraclePlanner:
@@ -312,8 +306,6 @@ class CorruptedPlanner:
         return self._swap_action(plan)
 
     def _malform(self, text: str) -> str:
-        from .planlang import SEG
-
         idx = text.rfind(SEG)
         if idx >= 0:
             return text[:idx] + text[idx + len(SEG):]
@@ -322,26 +314,22 @@ class CorruptedPlanner:
     def _swap_reference(self, plan: GroundedPlan, views, inventory) -> PlannerOutput:
         slot = "object" if plan.object is not None else "location"
         ref = getattr(plan, slot)
-        if ref is None:
-            return serialize_plan(plan), [r.masks for _, r in plan.references()]
-        candidates = [(oid, name) for oid, name in inventory if name != ref.text]
-        if not candidates:
-            return serialize_plan(plan), [r.masks for _, r in plan.references()]
-        oid, name = candidates[int(self.rng.integers(0, len(candidates)))]
-        setattr(plan, slot, GroundedReference(text=name, masks=views.masks_for(oid)))
-        return serialize_plan(plan), [r.masks for _, r in plan.references()]
+        candidates = [] if ref is None else [
+            (oid, name) for oid, name in inventory if name != ref.text]
+        if candidates:
+            oid, name = candidates[int(self.rng.integers(0, len(candidates)))]
+            setattr(plan, slot, GroundedReference(text=name, masks=views.masks_for(oid)))
+        return _output(plan)
 
     def _swap_action(self, plan: GroundedPlan) -> PlannerOutput:
         options = _SAME_ARITY[plan.action]
         new_action = options[int(self.rng.integers(0, len(options)))]
         refs = [ref for _, ref in plan.references()]
         new_plan = GroundedPlan(action=new_action)
-        from .planlang import DEFAULT_SCHEMA
-
         slots = DEFAULT_SCHEMA[new_action].required
         for slot_name, ref in zip(slots, refs):
             setattr(new_plan, slot_name, ref)
-        return serialize_plan(new_plan), [r.masks for _, r in new_plan.references()]
+        return _output(new_plan)
 
 
 def corrupt(base_factory: PlannerFactory, cfg: CorruptionConfig) -> PlannerFactory:

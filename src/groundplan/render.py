@@ -32,13 +32,9 @@ import math
 import numpy as np
 
 from .scene import (
-    Box,
     CameraModel,
     CameraRig,
-    Cylinder,
-    Prismatic,
     Scene,
-    Sphere,
     View,
     ViewSet,
     yaw_matrix,
@@ -142,21 +138,9 @@ def _cylinder_t(origin: np.ndarray, dirs: np.ndarray, center: np.ndarray,
     return np.where(hit, t_near, np.inf)
 
 
-def _primitives(scene: Scene) -> list[tuple[int, object]]:
-    """Flatten objects into (id, primitive description) render parts."""
-    parts = []
-    for obj in scene.objects:
-        s = obj.shape
-        if isinstance(s, Box):
-            parts.append((obj.id, ("box", obj.position, s.half_extents, obj.yaw)))
-        elif isinstance(s, Sphere):
-            parts.append((obj.id, ("sphere", obj.position, s.radius)))
-        elif isinstance(s, Cylinder):
-            parts.append((obj.id, ("cylinder", obj.position, s.radius, s.height)))
-        elif isinstance(s, Prismatic):
-            parts.append((obj.id, ("box", obj.position, s.body_half, obj.yaw)))
-            parts.append((obj.id, ("box", obj.slider_center(), s.slider_half, obj.yaw)))
-    return parts
+def _primitives(scene: Scene) -> list[tuple[int, tuple]]:
+    """Every object's solids as (id, solid) render parts, in object order."""
+    return [(obj.id, solid) for obj in scene.objects for solid in obj.solids()]
 
 
 def _bounding_sphere(prim) -> tuple[np.ndarray, float]:
@@ -191,7 +175,7 @@ def _pixel_rect(cam: CameraModel, center: np.ndarray, radius: float):
     return u0, u1, v0, v1
 
 
-def _primitives_key(prims: list[tuple[int, object]]) -> tuple:
+def _primitives_key(prims: list[tuple[int, tuple]]) -> tuple:
     """Byte snapshot of render parts, so that editing a scene in place changes the key."""
     return tuple(
         (oid, kind, *(np.asarray(f, dtype=float).tobytes() for f in fields))

@@ -4,6 +4,12 @@ Everything lives in a right-handed world frame with z up and the table
 surface at z = 0. Cameras follow the usual pinhole convention: x right,
 y down, z forward; the extrinsic (R, t) maps world points into the camera
 frame as p_cam = R @ p_world + t.
+
+This module owns how a shape is made of solids. `SceneObject.solids()` is
+the one decomposition: a box, sphere or cylinder is one solid and a
+prismatic object is two boxes, its body then its slider. The renderer
+ray-casts those solids, and bounds, heights and table rest heights derive
+from them, so no other module dispatches on shape classes for geometry.
 """
 
 from __future__ import annotations
@@ -93,6 +99,16 @@ class Prismatic:
 Shape = Box | Cylinder | Sphere | Prismatic
 
 
+def _half_extents(solid: tuple) -> np.ndarray:
+    """Half extents of the box that bounds a solid in its own frame."""
+    kind, _center, *dims = solid
+    if kind == "box":
+        return dims[0]
+    if kind == "cylinder":
+        return np.array([dims[0], dims[0], dims[1] / 2.0])
+    return np.full(3, dims[0])
+
+
 @dataclass
 class SceneObject:
     id: int
@@ -125,16 +141,30 @@ class SceneObject:
 
     # -- geometric queries -------------------------------------------------
 
-    def height(self) -> float:
+    def solids(self) -> list[tuple]:
+        """The solids the object is made of, in world coordinates:
+        ("box", center, half_extents, yaw), ("sphere", center, radius) or
+        ("cylinder", center, radius, height). A prismatic is its body, then its slider."""
         s = self.shape
         if isinstance(s, Box):
-            return 2.0 * s.half_extents[2]
-        if isinstance(s, Cylinder):
-            return s.height
+            return [("box", self.position, s.half_extents, self.yaw)]
         if isinstance(s, Sphere):
-            return 2.0 * s.radius
+            return [("sphere", self.position, s.radius)]
+        if isinstance(s, Cylinder):
+            return [("cylinder", self.position, s.radius, s.height)]
+        return [("box", self.position, s.body_half, self.yaw),
+                ("box", self.slider_center(), s.slider_half, self.yaw)]
+
+    def height(self) -> float:
+        solids = self.solids()
+        if len(solids) == 1:
+            return 2.0 * _half_extents(solids[0])[2]
         lo, hi = self.aabb()
         return hi[2] - lo[2]
+
+    def rest_z(self) -> float:
+        """Center z at which the object stands on the table: its first solid's half height."""
+        return float(_half_extents(self.solids()[0])[2])
 
     def slider_center(self) -> np.ndarray:
         s = self.shape
@@ -143,27 +173,12 @@ class SceneObject:
         local = s.slider_offset + s.axis * s.travel * s.fraction
         return self.position + yaw_matrix(self.yaw) @ local
 
-    def _parts(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(center, half_extents-equivalent) pairs used for AABB bounds."""
-        s = self.shape
-        if isinstance(s, Box):
-            return [(self.position, s.half_extents)]
-        if isinstance(s, Cylinder):
-            h = np.array([s.radius, s.radius, s.height / 2.0])
-            return [(self.position, h)]
-        if isinstance(s, Sphere):
-            h = np.full(3, s.radius)
-            return [(self.position, h)]
-        return [
-            (self.position, s.body_half),
-            (self.slider_center(), s.slider_half),
-        ]
-
     def aabb(self) -> tuple[np.ndarray, np.ndarray]:
         """World axis-aligned bounds, yaw-aware."""
         rot = yaw_matrix(self.yaw)
         los, his = [], []
-        for center, half in self._parts():
+        for solid in self.solids():
+            center, half = solid[1], _half_extents(solid)
             # Extent of a rotated box along world axes.
             ext = np.abs(rot) @ half
             los.append(center - ext)

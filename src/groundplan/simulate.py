@@ -22,7 +22,6 @@ from .scene import (
     Prismatic,
     Scene,
     SceneObject,
-    Sphere,
     yaw_matrix,
 )
 from .tasks import PredicateError, TaskScript, check_success
@@ -88,18 +87,6 @@ def rotate_held(dyaw: float) -> MotionStep:
 # -- scene sampling -----------------------------------------------------------
 
 
-def _rest_z(shape) -> float:
-    if isinstance(shape, Box):
-        return float(shape.half_extents[2])
-    if isinstance(shape, Cylinder):
-        return shape.height / 2.0
-    if isinstance(shape, Sphere):
-        return shape.radius
-    if isinstance(shape, Prismatic):
-        return float(shape.body_half[2])
-    raise TypeError(f"unknown shape {shape!r}")
-
-
 def _place(rng, obj: SceneObject, placed: list[SceneObject], z: float,
            task: TaskScript, seed: int) -> None:
     r = obj.bounding_radius()
@@ -148,7 +135,7 @@ def sample_scene(task: TaskScript, seed: int) -> Scene:
             is_location=spec.is_location,
             color_varies=spec.color_varies,
         )
-        z = spec.height if spec.height is not None else _rest_z(shape)
+        z = spec.height if spec.height is not None else obj.rest_z()
         role_objects.append((obj, z))
         roles[spec.role] = obj.id
 
@@ -186,7 +173,7 @@ def sample_scene(task: TaskScript, seed: int) -> Scene:
             graspable=True,
             color_varies=True,
         )
-        _place(rng, obj, objects, _rest_z(shape), task, seed)
+        _place(rng, obj, objects, obj.rest_z(), task, seed)
         objects.append(obj)
 
     return Scene(objects=objects, roles=roles)

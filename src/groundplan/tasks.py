@@ -4,6 +4,11 @@ A task script is the one-time annotation that makes a scripted task
 generatable: which objects must exist, the subplan sequence over their
 roles, and a success predicate decidable from scene + gripper state alone.
 Suites are plain JSON so new tasks are data, not code.
+
+This module owns the success predicate tree. `predicate_terms` is the one
+walk over it: it yields the terms other than `all_of`, depth-first, and
+`check_success`, the oracle's joint targets and the suite reader all go
+through it. `_TERMS` is the one table of term kinds and their evaluators.
 """
 
 from __future__ import annotations
@@ -111,45 +116,65 @@ def _resolve(scene: Scene, role: str) -> SceneObject:
         raise PredicateError(str(e)) from e
 
 
-def _eval_predicate(pred: dict, scene: Scene, gripper: GripperState) -> bool:
-    kind = pred["kind"]
-    if kind == "all_of":
-        return all(_eval_predicate(p, scene, gripper) for p in pred["terms"])
-    if kind == "object_within":
-        obj = _resolve(scene, pred["object"])
-        loc = _resolve(scene, pred["location"])
-        if gripper.held == obj.id:
-            return False  # a held object does not rest anywhere
-        horiz = float(np.linalg.norm((obj.position - loc.position)[:2]))
-        if horiz > pred["tol"]:
-            return False
-        # Resting on top of the location, or inside its volume.
-        resting = abs(obj.bottom_z() - loc.top_z()) <= 0.015
-        lo, hi = loc.aabb()
-        inside = bool(np.all(obj.position >= lo) and np.all(obj.position <= hi))
-        return resting or inside
-    if kind == "object_near":
-        obj = _resolve(scene, pred["object"])
-        loc = _resolve(scene, pred["location"])
-        if pred.get("require_held", False) and gripper.held != obj.id:
-            return False
-        return float(np.linalg.norm(obj.position - loc.position)) <= pred["tol"]
-    if kind == "joint_at_least":
-        obj = _resolve(scene, pred["object"])
-        if not hasattr(obj.shape, "fraction"):
-            raise PredicateError(f"role {pred['object']!r} is not articulated")
-        return obj.shape.fraction >= pred["threshold"]
-    if kind == "joint_at_most":
-        obj = _resolve(scene, pred["object"])
-        if not hasattr(obj.shape, "fraction"):
-            raise PredicateError(f"role {pred['object']!r} is not articulated")
-        return obj.shape.fraction <= pred["threshold"]
-    raise ValueError(f"unknown predicate kind {kind!r}")
+def _object_within(pred: dict, scene: Scene, gripper: GripperState) -> bool:
+    obj = _resolve(scene, pred["object"])
+    loc = _resolve(scene, pred["location"])
+    if gripper.held == obj.id:
+        return False  # a held object does not rest anywhere
+    horiz = float(np.linalg.norm((obj.position - loc.position)[:2]))
+    if horiz > pred["tol"]:
+        return False
+    # Resting on top of the location, or inside its volume.
+    resting = abs(obj.bottom_z() - loc.top_z()) <= 0.015
+    lo, hi = loc.aabb()
+    inside = bool(np.all(obj.position >= lo) and np.all(obj.position <= hi))
+    return resting or inside
+
+
+def _object_near(pred: dict, scene: Scene, gripper: GripperState) -> bool:
+    obj = _resolve(scene, pred["object"])
+    loc = _resolve(scene, pred["location"])
+    if pred.get("require_held", False) and gripper.held != obj.id:
+        return False
+    return float(np.linalg.norm(obj.position - loc.position)) <= pred["tol"]
+
+
+def _joint_fraction(pred: dict, scene: Scene) -> float:
+    obj = _resolve(scene, pred["object"])
+    if not hasattr(obj.shape, "fraction"):
+        raise PredicateError(f"role {pred['object']!r} is not articulated")
+    return obj.shape.fraction
+
+
+_TERMS = {
+    "object_within": _object_within,
+    "object_near": _object_near,
+    "joint_at_least": lambda pred, scene, _: _joint_fraction(pred, scene) >= pred["threshold"],
+    "joint_at_most": lambda pred, scene, _: _joint_fraction(pred, scene) <= pred["threshold"],
+}
+
+
+def predicate_terms(pred: dict):
+    """The predicate's terms other than all_of, depth-first. Lazy, so a caller
+    that stops early never walks, or trips over, the rest of the tree."""
+    if pred["kind"] == "all_of":
+        for term in pred["terms"]:
+            yield from predicate_terms(term)
+    else:
+        yield pred
+
+
+def _term_evaluator(kind: str):
+    if kind not in _TERMS:
+        raise ValueError(f"unknown predicate kind {kind!r}")
+    return _TERMS[kind]
 
 
 def check_success(scene: Scene, gripper: GripperState, task: TaskScript) -> bool:
-    """Evaluate the task's success predicate against the current state."""
-    return _eval_predicate(task.success, scene, gripper)
+    """Evaluate the task's success predicate against the current state. The first
+    false term ends the check, so a broken term after it raises nothing."""
+    return all(_term_evaluator(term["kind"])(term, scene, gripper)
+               for term in predicate_terms(task.success))
 
 
 # -- suite (de)serialization ---------------------------------------------------
@@ -162,20 +187,9 @@ def task_to_json(task: TaskScript) -> dict:
         "group": task.group,
         "tags": list(task.tags),
         "instruction": task.instruction,
-        "objects": [
-            {
-                "role": o.role,
-                "raw_name": o.raw_name,
-                "shape": o.shape,
-                "color": list(o.color),
-                "color_varies": o.color_varies,
-                "graspable": o.graspable,
-                "is_location": o.is_location,
-                "height": o.height,
-                "fixed_yaw": o.fixed_yaw,
-            }
-            for o in task.objects
-        ],
+        # vars, not dataclasses.asdict: asdict deep-copies every field, and every sampled
+        # scene digests its task.
+        "objects": [{**vars(o), "color": list(o.color)} for o in task.objects],
         "plan": [
             {
                 "action": s.action,
@@ -193,6 +207,15 @@ def task_to_json(task: TaskScript) -> dict:
 
 
 def task_from_json(d: dict) -> TaskScript:
+    """A task from its suite JSON. Shapes, colours and predicate term kinds are
+    checked here, so that a bad suite fails when read, where its file is known."""
+    for o in d["objects"]:
+        shape_from_json(o["shape"])  # sample_scene builds a fresh shape per scene
+        color = o["color"]
+        if len(color) != 3 or not all(type(c) is int and 0 <= c <= 255 for c in color):
+            raise ValueError(f"color must be three integers in 0-255, got {color!r}")
+    for term in predicate_terms(d["success"]):
+        _term_evaluator(term["kind"])
     objects = tuple(
         ObjectSpec(
             role=o["role"],

@@ -281,8 +281,34 @@ def test_gen_data_failure_names_the_resolution(tmp_path, capsys):
     assert not out.exists()
 
 
+def _suite(shape=None, color=None, success=None) -> str:
+    """A one-task suite document; each given part replaces the valid default."""
+    task = {
+        "name": "t", "variation": 0, "group": "L1", "instruction": "push the slider",
+        "objects": [{"role": "a", "raw_name": "block", "color": color or [255, 0, 0],
+                     "shape": shape or {"kind": "box", "half_extents": [0.02, 0.02, 0.02]}}],
+        "plan": [{"action": "push down", "object": "a"}],
+        "success": success or {"kind": "joint_at_least", "object": "a", "threshold": 0.5},
+    }
+    return json.dumps({"tasks": [task]})
+
+
 @pytest.mark.parametrize("command, flag, content, message", [
     ("run-online", "--suite", '{"tasks": [{"name": "x"}]}', "@ byte 0: missing field 'objects'"),
+    ("run-online", "--suite", _suite(shape={"kind": "sphere", "radius": "big"}),
+     "@ byte 0: '<=' not supported between instances of 'str' and 'int'"),
+    ("run-online", "--suite", _suite(shape={"kind": "cone", "radius": 0.02}),
+     "@ byte 0: unknown shape kind 'cone'"),
+    ("run-online", "--suite", _suite(shape={"kind": "box", "half_extents": [0.02, -0.02, 0.02]}),
+     "@ byte 0: box half extents must be positive"),
+    ("run-online", "--suite", _suite(success={"kind": "all_of", "terms": [
+        {"kind": "joint_at_least", "object": "a", "threshold": 0.5},
+        {"kind": "object_above", "object": "a", "location": "a"}]}),
+     "@ byte 0: unknown predicate kind 'object_above'"),
+    ("run-online", "--suite", _suite(color=[255, 0]),
+     "@ byte 0: color must be three integers in 0-255, got [255, 0]"),
+    ("run-online", "--suite", _suite(color="white"),
+     "@ byte 0: color must be three integers in 0-255, got 'white'"),
     ("run-online", "--suite", '{"tasks": [', "@ byte 11: Expecting value"),
     ("report", "--in", '{"type": "offline"}', "@ byte 0: missing field 'groups'"),
     ("report", "--in", '{"type": "offline", ',
