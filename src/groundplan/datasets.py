@@ -15,22 +15,31 @@ row-major little-endian float32). Masks and id maps are RLE-encoded in the
 record JSON. Generation is byte-deterministic for a fixed (suite, counts,
 seed).
 
-A view read from a dataset keeps its id map as the record's runs and decodes
-it into the int32 frame the first time ``.ids`` is read. Offline replay
-scoring matches views by identity and scores against the ground-truth masks,
-so it rarely reads an id map, and decoding every one when the record is read
-was a third or more of the read cost. Every id-map entry is still checked
-then, so a malformed one fails in ``read_dataset``, never later during scoring.
+What is read when. ``read_dataset`` parses every record and checks it
+whole: field types, every id-map entry, each depth file's path, its 8-byte
+header against the record's camera and its size against the header. So a
+malformed dataset fails there, never later during scoring. It reads no depth
+payload and decodes no id map. A view read from a dataset keeps its id map as
+the record's runs and decodes it into the int32 frame the first time ``.ids``
+is read, and it reads its depth file the first time ``.depth`` is read; a file
+that has vanished or changed size by then is a `DatasetReadError` naming it.
+Offline replay scoring keys records on id-map pixel counts taken from the runs
+(`View.id_counts`), matches views by identity and scores against the
+ground-truth masks, so it opens no depth file and rarely decodes an id map.
+Records of one dataset share one `CameraModel` per distinct camera JSON.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import pickle
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
+from itertools import accumulate
+from operator import le
 
 import numpy as np
 
@@ -94,6 +103,22 @@ class RefExpRecord:
     kind: str = "refexp"
 
 
+def _is_str(value) -> bool:
+    return type(value) is str
+
+
+def _is_str_list(value) -> bool:
+    return type(value) is list and all(type(s) is str for s in value)
+
+
+def _field(d: dict, name: str, valid, expected: str):
+    """d[name], or a ValueError naming the field unless valid(d[name])."""
+    value = d[name]
+    if not valid(value):
+        raise ValueError(f"field {name!r} must be {expected}, got {value!r}")
+    return value
+
+
 @dataclass
 class DatasetManifest:
     kind: str
@@ -120,7 +145,7 @@ class DatasetManifest:
             total_records=d["total_records"],
             total_episodes=d["total_episodes"],
             mean_keysteps_per_episode=d["mean_keysteps_per_episode"],
-            files=list(d["files"]),
+            files=list(_field(d, "files", _is_str_list, "a list of strings")),
         )
 
 
@@ -170,16 +195,23 @@ def write_depth(path: str, depth: np.ndarray) -> None:
         f.write(depth.astype("<f4").tobytes())
 
 
+def _depth_shape(f, path: str) -> tuple[int, int]:
+    """(height, width) from the header of open depth file `f`, checked against the
+    file size, so that the payload need not be read to know it is whole."""
+    header = f.read(8)
+    if len(header) != 8:
+        raise DatasetReadError(path, 0, "truncated header")
+    w, h = struct.unpack("<II", header)
+    size = os.fstat(f.fileno()).st_size
+    if size != 8 + w * h * 4:
+        raise DatasetReadError(path, size, f"expected {w * h * 4} payload bytes")
+    return h, w
+
+
 def read_depth(path: str) -> np.ndarray:
     with open(path, "rb") as f:
-        header = f.read(8)
-        if len(header) != 8:
-            raise DatasetReadError(path, 0, "truncated header")
-        w, h = struct.unpack("<II", header)
+        h, w = _depth_shape(f, path)
         body = f.read()
-    expected = w * h * 4
-    if len(body) != expected:
-        raise DatasetReadError(path, 8 + len(body), f"expected {expected} payload bytes")
     return np.frombuffer(body, dtype="<f4").reshape(h, w)
 
 
@@ -199,6 +231,22 @@ def _camera_from_json(d: dict) -> CameraModel:
         translation=np.asarray(d["translation"]),
         role=d["role"],
     )
+
+
+def _camera_reader():
+    """_camera_from_json, building one CameraModel per distinct camera JSON:
+    every record of a dataset repeats its static cameras. The key is the pickle
+    of the JSON, which keeps float bits and types, so -0.0, 1 and True never
+    share 0.0's or 1.0's model; it costs a tenth of repr's float formatting."""
+    built: dict[bytes, CameraModel] = {}
+
+    def camera(d: dict) -> CameraModel:
+        key = pickle.dumps(d)
+        if key not in built:
+            built[key] = _camera_from_json(d)
+        return built[key]
+
+    return camera
 
 
 def _id_maps_to_json(views: ViewSet) -> list:
@@ -229,20 +277,60 @@ def _resolver(data_dir: str):
 
 
 class _RunsView(View):
-    """A view read from a dataset: its id map stays as the record's [oid, runs]
-    entries until .ids is first read, which decodes it once (later entries win)."""
+    """A view read from a dataset. Its id map stays as the record's [oid, runs]
+    entries until .ids is first read, which decodes it once (later entries win),
+    and its depth stays in its file until .depth is first read. Both frames are
+    read-only once built: an identity match implies equal bytes."""
 
-    def __init__(self, depth: np.ndarray, id_runs: list):
-        self.depth = depth
+    def __init__(self, path: str, shape: tuple[int, int], id_runs: list):
+        self._path = path
+        self._shape = shape
         self._id_runs = id_runs
 
     @cached_property
+    def depth(self) -> np.ndarray:
+        try:
+            depth = read_depth(self._path)
+        except OSError as e:
+            raise DatasetReadError(self._path, 0, f"cannot read depth: {e.strerror}") from e
+        if depth.shape != self._shape:
+            raise DatasetReadError(
+                self._path, 0, f"is {depth.shape[1]}x{depth.shape[0]} now, "
+                f"{self._shape[1]}x{self._shape[0]} when the dataset was read")
+        return depth
+
+    @cached_property
     def ids(self) -> np.ndarray:
-        ids = np.zeros(self.depth.shape, dtype=np.int32)
+        ids = np.zeros(self._shape, dtype=np.int32)
         for oid, runs in self._id_runs:
             ids[rle_decode(runs, ids.shape)] = oid
-        ids.flags.writeable = False  # read-only frames: an identity match implies equal bytes
+        ids.flags.writeable = False
         return ids
+
+    def id_counts(self) -> tuple:
+        return self._id_counts
+
+    @cached_property
+    def _id_counts(self) -> tuple:
+        """View.id_counts from the runs when no two entries' on-intervals overlap,
+        so that each nonzero pixel's oid is its one covering entry's; from the
+        decoded frame otherwise. Sorted, the ends never pass the next start iff
+        no point is covered twice."""
+        starts: list[int] = []
+        ends: list[int] = []
+        counts: dict[int, int] = {}
+        for oid, runs in self._id_runs:
+            edges = list(accumulate(runs))
+            n = len(runs) & ~1
+            starts += edges[0:n:2]
+            ends += edges[1:n:2]
+            if oid:
+                counts[oid] = counts.get(oid, 0) + sum(runs[1::2])
+        starts.sort()
+        ends.sort()
+        if not all(map(le, ends, starts[1:])):
+            return super().id_counts()
+        return self._shape, tuple(sorted((oid, n) for oid, n in counts.items() if n))
 
 
 def _check_id_map(per_cam, pixels: int) -> None:
@@ -274,16 +362,18 @@ def _views_from_json(id_maps: list, depth_files: list[str], cameras: list[Camera
                 json_path, 0, f"{field} has {len(entries)} entries for {len(cameras)} cameras")
     views = []
     for i, (per_cam, depth_file, cam) in enumerate(zip(id_maps, depth_files, cameras)):
-        depth = read_depth(inside(depth_file, json_path, f"depth_files[{i}]"))
-        if depth.shape != (cam.height, cam.width):
+        path = inside(depth_file, json_path, f"depth_files[{i}]")
+        with open(path, "rb") as f:
+            h, w = _depth_shape(f, path)
+        if (h, w) != (cam.height, cam.width):
             raise DatasetReadError(
-                json_path, 0, f"depth_files[{i}] {depth_file!r} is {depth.shape[1]}x"
-                f"{depth.shape[0]}, its camera {cam.width}x{cam.height}")
+                json_path, 0, f"depth_files[{i}] {depth_file!r} is {w}x{h}, "
+                f"its camera {cam.width}x{cam.height}")
         try:
-            _check_id_map(per_cam, depth.size)
+            _check_id_map(per_cam, h * w)
         except ValueError as e:
             raise DatasetReadError(json_path, 0, f"id_maps[{i}]: {e}") from e
-        views.append(_RunsView(depth, per_cam))
+        views.append(_RunsView(path, (h, w), per_cam))
     return ViewSet(views)
 
 
@@ -320,8 +410,8 @@ def _record_to_json(rec) -> dict:
     return base
 
 
-def _record_from_json(d: dict, inside, path: str):
-    cameras = [_camera_from_json(c) for c in d["cameras"]]
+def _record_from_json(d: dict, inside, camera, path: str):
+    cameras = [camera(c) for c in d["cameras"]]
     views = _views_from_json(d["id_maps"], d["depth_files"], cameras, inside, path)
     inventory = [(int(oid), name) for oid, name in d["inventory"]]
     if d["kind"] in ("plan", "long"):
@@ -330,9 +420,9 @@ def _record_from_json(d: dict, inside, path: str):
             keystep=d["keystep"],
             task=d["task"],
             group=d["group"],
-            instruction=d["instruction"],
-            history=tuple(d["history"]),
-            plan_text=d["plan_text"],
+            instruction=_field(d, "instruction", _is_str, "a string"),
+            history=tuple(_field(d, "history", _is_str_list, "a list of strings")),
+            plan_text=_field(d, "plan_text", _is_str, "a string"),
             gt_plan=plan_from_json(d["gt_plan"]),
             views=views,
             cameras=cameras,
@@ -395,11 +485,12 @@ def read_dataset(data_dir: str) -> tuple[DatasetManifest, list]:
     manifest_path = os.path.join(data_dir, "manifest.json")
     manifest = read_json(manifest_path, DatasetManifest.from_json, DatasetReadError)
     inside = _resolver(data_dir)
+    camera = _camera_reader()
     records = []
     for i, name in enumerate(manifest.files):
         if name.startswith("records/"):
             path = inside(name, manifest_path, f"files[{i}]")
-            records.append(read_json(path, lambda d: _record_from_json(d, inside, path),
+            records.append(read_json(path, lambda d: _record_from_json(d, inside, camera, path),
                                      DatasetReadError))
     counted = sum(manifest.counts.values())
     if counted != len(records):

@@ -185,13 +185,16 @@ class ReplayPlanner:
     oracle: on records it was built from it reproduces ground truth exactly,
     which makes it the upper-bound planner for offline evaluation.
 
-    Outputs are bucketed by ``(instruction, tuple(history), sample)``, where
-    ``sample`` holds each depth frame's bytes on a grid of about 16 x 16
-    points, which tells apart the episodes of a variation (they repeat its
-    instruction and histories). A call returns the newest record in its bucket
-    whose views are the same object or have byte-equal depth and id frames, so
-    a later record with equal frames replaces an earlier one. Frames are
-    read-only, so identity implies equal bytes.
+    Outputs are bucketed by ``(instruction, tuple(history), counts)``, where
+    ``counts`` is each view's `View.id_counts`: its shape and the pixel count
+    of each object in its id map. That tells apart the episodes of a variation
+    (they repeat its instruction and histories), and a view read from a
+    dataset takes it from its id-map runs, so building the planner and
+    replaying its records open no depth file and decode no id map. A call
+    returns the newest record in its bucket whose views are the same object or
+    have byte-equal id and depth frames, so a later record with equal frames
+    replaces an earlier one. Frames are read-only, so identity implies equal
+    bytes.
     """
 
     def __init__(self, outputs: dict[tuple, list[tuple[ViewSet, PlannerOutput]]]):
@@ -199,10 +202,7 @@ class ReplayPlanner:
 
     @staticmethod
     def _key(instruction, views, history) -> tuple:
-        sample = b"".join(
-            d[:: max(1, d.shape[0] // 16), :: max(1, d.shape[1] // 16)].tobytes()
-            for d in (v.depth for v in views))
-        return instruction, tuple(history), sample
+        return instruction, tuple(history), tuple(v.id_counts() for v in views)
 
     @classmethod
     def from_records(cls, records) -> "ReplayPlanner":
@@ -223,11 +223,12 @@ class ReplayPlanner:
 
 
 def _same_frames(a: ViewSet, b: ViewSet) -> bool:
-    """Whether every depth and id frame of `a` and `b` has equal shape, dtype and bytes."""
+    """Whether every id and depth frame of `a` and `b` has equal shape, dtype and
+    bytes. Every id map first: a depth frame read from a dataset is a file read."""
     return len(a) == len(b) and all(
         x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
-        for va, vb in zip(a, b)
-        for x, y in ((va.depth, vb.depth), (va.ids, vb.ids))
+        for frame in ("ids", "depth")
+        for x, y in ((getattr(va, frame), getattr(vb, frame)) for va, vb in zip(a, b))
     )
 
 

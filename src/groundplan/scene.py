@@ -379,6 +379,13 @@ class View:
         sorted; on sparse frames that is a small share of the id map."""
         return np.unique(self.ids[self.ids != 0]).tolist()
 
+    def id_counts(self) -> tuple:
+        """The id map's shape and its (oid, pixel count) pairs for nonzero oids,
+        ascending: equal id maps give equal tuples."""
+        ids = self.ids
+        oids, counts = np.unique(ids[ids != 0], return_counts=True)
+        return ids.shape, tuple(zip(oids.tolist(), counts.tolist()))
+
 
 @dataclass
 class ViewSet:

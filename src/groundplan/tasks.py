@@ -8,7 +8,8 @@ Suites are plain JSON so new tasks are data, not code.
 This module owns the success predicate tree. `predicate_terms` is the one
 walk over it: it yields the terms other than `all_of`, depth-first, and
 `check_success`, the oracle's joint targets and the suite reader all go
-through it. `_TERMS` is the one table of term kinds and their evaluators.
+through it. `_TERMS` is the one table of term kinds, their evaluators and
+the fields each term must hold as a JSON number.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -98,6 +100,12 @@ class TaskScript:
         return f"{self.name}+{self.variation}"
 
     def digest(self) -> str:
+        """sha256 of the task's suite JSON. Every sampled scene seeds from it,
+        so it is computed once per task."""
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
         return hashlib.sha256(
             json.dumps(task_to_json(self), sort_keys=True).encode()
         ).hexdigest()
@@ -146,11 +154,14 @@ def _joint_fraction(pred: dict, scene: Scene) -> float:
     return obj.shape.fraction
 
 
+# kind -> (evaluator, the fields a term of that kind must hold as JSON numbers)
 _TERMS = {
-    "object_within": _object_within,
-    "object_near": _object_near,
-    "joint_at_least": lambda pred, scene, _: _joint_fraction(pred, scene) >= pred["threshold"],
-    "joint_at_most": lambda pred, scene, _: _joint_fraction(pred, scene) <= pred["threshold"],
+    "object_within": (_object_within, ("tol",)),
+    "object_near": (_object_near, ("tol",)),
+    "joint_at_least": (
+        lambda pred, scene, _: _joint_fraction(pred, scene) >= pred["threshold"], ("threshold",)),
+    "joint_at_most": (
+        lambda pred, scene, _: _joint_fraction(pred, scene) <= pred["threshold"], ("threshold",)),
 }
 
 
@@ -167,7 +178,19 @@ def predicate_terms(pred: dict):
 def _term_evaluator(kind: str):
     if kind not in _TERMS:
         raise ValueError(f"unknown predicate kind {kind!r}")
-    return _TERMS[kind]
+    return _TERMS[kind][0]
+
+
+def _check_term(term: dict) -> None:
+    """Raise ValueError unless the term's kind is known and its numeric fields are
+    JSON numbers (a bool is not one), so a bad term fails when its suite is read."""
+    kind = term["kind"]
+    _term_evaluator(kind)
+    for name in _TERMS[kind][1]:
+        value = term[name]
+        if type(value) not in (int, float):
+            raise ValueError(f"success term {kind} field {name!r} must be a number, "
+                             f"got {value!r}")
 
 
 def check_success(scene: Scene, gripper: GripperState, task: TaskScript) -> bool:
@@ -215,7 +238,7 @@ def task_from_json(d: dict) -> TaskScript:
         if len(color) != 3 or not all(type(c) is int and 0 <= c <= 255 for c in color):
             raise ValueError(f"color must be three integers in 0-255, got {color!r}")
     for term in predicate_terms(d["success"]):
-        _term_evaluator(term["kind"])
+        _check_term(term)
     objects = tuple(
         ObjectSpec(
             role=o["role"],

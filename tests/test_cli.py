@@ -305,6 +305,12 @@ def _suite(shape=None, color=None, success=None) -> str:
         {"kind": "joint_at_least", "object": "a", "threshold": 0.5},
         {"kind": "object_above", "object": "a", "location": "a"}]}),
      "@ byte 0: unknown predicate kind 'object_above'"),
+    ("run-online", "--suite", _suite(success={"kind": "object_near", "object": "a",
+                                              "location": "a", "tol": "near"}),
+     "@ byte 0: success term object_near field 'tol' must be a number, got 'near'"),
+    ("run-online", "--suite", _suite(success={"kind": "all_of", "terms": [
+        {"kind": "joint_at_least", "object": "a", "threshold": True}]}),
+     "@ byte 0: success term joint_at_least field 'threshold' must be a number, got True"),
     ("run-online", "--suite", _suite(color=[255, 0]),
      "@ byte 0: color must be three integers in 0-255, got [255, 0]"),
     ("run-online", "--suite", _suite(color="white"),

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -447,6 +448,12 @@ def _float_run(rec, data):
     rec["id_maps"][1][0][1][0] = float(rec["id_maps"][1][0][1][0])
 
 
+def _set_field(name, value):
+    def edit(rec, data):
+        rec[name] = value
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (_relative_escape, "depth_files[0] '../outside.bin' escapes the dataset directory"),
     (_absolute_escape, "escapes the dataset directory"),
@@ -459,10 +466,15 @@ def _float_run(rec, data):
     (_set_oid("x"), "id_maps[1]: object id 'x' is not an int32"),
     (_set_oid(2**40), f"id_maps[1]: object id {2**40} is not an int32"),
     (_float_run, "id_maps[1]: run lengths must be a list of integers"),
+    (_set_field("instruction", 7), "field 'instruction' must be a string, got 7"),
+    (_set_field("plan_text", None), "field 'plan_text' must be a string, got None"),
+    (_set_field("history", "ab"), "field 'history' must be a list of strings, got 'ab'"),
+    (_set_field("history", [3]), "field 'history' must be a list of strings, got [3]"),
 ], ids=["depth-relative-escape", "depth-absolute-escape", "depth-symlink-escape",
         "depth-files-short",
         "id-maps-short", "depth-resolution", "id-map-runs",
-        "id-map-oid-float", "id-map-oid-string", "id-map-oid-int64", "id-map-run-float"])
+        "id-map-oid-float", "id-map-oid-string", "id-map-oid-int64", "id-map-run-float",
+        "instruction-int", "plan-text-null", "history-string", "history-int-item"])
 def test_malformed_record_reports_file_and_field(tmp_path, suite, small_rig, edit, message):
     data = tmp_path / "data"
     man = gen_plan_dataset(suite[:1], 1, 0, str(data), rig=small_rig)
@@ -474,6 +486,23 @@ def test_malformed_record_reports_file_and_field(tmp_path, suite, small_rig, edi
         read_dataset(str(data))
     assert name in str(err.value)
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize("files", ["records", ["records/e00000_0.json", 3]],
+                         ids=["string", "int-item"])
+def test_manifest_files_must_be_a_list_of_strings(tmp_path, suite, small_rig, capsys, files):
+    from groundplan.cli import main
+
+    gen_plan_dataset(suite[:1], 1, 0, str(tmp_path), rig=small_rig)
+    payload = json.loads((tmp_path / "manifest.json").read_text())
+    payload["files"] = files
+    (tmp_path / "manifest.json").write_text(json.dumps(payload))
+    message = f"field 'files' must be a list of strings, got {files!r}"
+    with pytest.raises(DatasetReadError) as err:
+        read_dataset(str(tmp_path))
+    assert "manifest.json" in str(err.value) and message in str(err.value)
+    assert main(["eval-offline", "--data", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_manifest_record_name_must_stay_inside_the_dataset(tmp_path, suite, small_rig):
@@ -582,3 +611,77 @@ def test_lazy_id_maps_match_the_eager_decode(tmp_path):
                        for a, b in zip(lazy.masks_for(oid), ref.masks_for(oid)))
 
     check()
+
+
+# -- lazily read depth ------------------------------------------------------------------
+
+
+def test_lazy_depth_matches_the_eager_read(tmp_path, monkeypatch):
+    """A read view opens its depth file only when .depth is first read, and then
+    holds what read_depth returns: equal bytes, read-only, one array."""
+    from groundplan import datasets
+
+    (tmp_path / "depth").mkdir()
+    inside = _resolver(str(tmp_path))
+    real, reads = datasets.read_depth, []
+    monkeypatch.setattr(datasets, "read_depth", lambda path: reads.append(path) or real(path))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def check(data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shapes = data.draw(st.lists(st.tuples(st.integers(1, 40), st.integers(1, 40)),
+                                    min_size=1, max_size=3))
+        id_maps, names, cameras = [], [], []
+        for i, (h, w) in enumerate(shapes):
+            ids = rng.integers(0, 3, size=(h, w))
+            id_maps.append([[oid, rle_encode(ids == oid)] for oid in (1, 2)])
+            names.append(f"depth/v{i}.bin")
+            depth = rng.choice([0.0, -0.0, 0.5, np.nan, np.inf], size=(h, w))
+            write_depth(str(tmp_path / names[-1]), depth * rng.random((h, w)))
+            cameras.append(CameraModel(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=w, height=h,
+                                       rotation=np.eye(3), translation=np.zeros(3)))
+        id_maps = json.loads(json.dumps(id_maps))
+        reads.clear()
+        lazy = _views_from_json(id_maps, names, cameras, inside, "rec.json")
+        assert not reads
+        eager = [real(str(tmp_path / name)) for name in names]
+        ref = eager_views(id_maps, eager)
+        if data.draw(st.booleans()):
+            assert lazy.digest() == ref.digest()
+        for v, d in zip(lazy, eager):
+            assert v.depth.dtype == d.dtype and v.depth.shape == d.shape
+            assert v.depth.tobytes() == d.tobytes()
+            assert not v.depth.flags.writeable
+            assert v.depth is v.depth
+        assert lazy.digest() == ref.digest()
+        assert len(reads) == len(names)
+
+    check()
+
+
+def _reshape_depth(path):
+    with open(path, "r+b") as f:
+        w, h = struct.unpack("<II", f.read(8))
+        f.seek(0)
+        f.write(struct.pack("<II", w * 2, h // 2))
+
+
+@pytest.mark.parametrize("change, message", [
+    (os.remove, "cannot read depth: No such file or directory"),
+    (lambda path: os.truncate(path, 100), "expected 36864 payload bytes"),
+    (_reshape_depth, "is 192x48 now, 96x96 when the dataset was read"),
+], ids=["deleted", "truncated", "reshaped"])
+def test_depth_file_changed_after_reading_is_a_dataset_error(tmp_path, suite, small_rig,
+                                                              change, message):
+    from groundplan.datasets import _depth_names
+
+    gen_plan_dataset(suite[:1], 1, 0, str(tmp_path), rig=small_rig)
+    _, records = read_dataset(str(tmp_path))
+    rec = records[0]
+    name = _depth_names(rec.episode, rec.keystep, rec.cameras)[0]
+    change(str(tmp_path / name))
+    with pytest.raises(DatasetReadError) as err:
+        rec.views[0].depth
+    assert name in str(err.value) and message in str(err.value)
+    assert rec.views[1].depth.shape == (96, 96)

@@ -132,6 +132,29 @@ def test_replay_scoring_decodes_no_id_maps(plan_dataset, monkeypatch):
     assert corrupted[0].to_json() == corrupted[1].to_json()
 
 
+def test_replay_scoring_opens_no_depth_file(plan_dataset, monkeypatch):
+    """Building the replay planner and scoring with it, clean or swapping every
+    reference, never opens a depth file, however many records there are; the
+    first read of a view's depth does."""
+    from groundplan import datasets
+
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(path)
+        return open(path, *args, **kwargs)
+
+    _, records = read_dataset(plan_dataset)
+    monkeypatch.setattr(datasets, "open", counting_open, raising=False)
+    result = eval_offline(records, ReplayPlanner.from_records(records))
+    assert all(m.act == m.obj == m.grd == 100.0 for m in result.groups.values())
+    cfg = CorruptionConfig(p_wrong_object=1.0)
+    eval_offline(records, CorruptedPlanner(ReplayPlanner.from_records(records), cfg, 22))
+    assert opened == []
+    records[0].views[0].depth
+    assert len(opened) == 1 and "/depth/" in opened[0]
+
+
 def test_malformed_planner_scores_zero(plan_dataset):
     _, records = read_dataset(plan_dataset)
     result = eval_offline(records, MalformedPlanner())

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -277,35 +279,10 @@ def _frames_copy(views, change=None):
     return ViewSet(out)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    h=st.integers(1, 80),
-    w=st.integers(1, 80),
-    n_views=st.integers(1, 3),
-    n_records=st.integers(1, 5),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_replay_lookup_matches_digest_keyed_reference(h, w, n_views, n_records, seed):
-    rng = np.random.default_rng(seed)
-    records = []
-
-    def record(instruction, history, views):
-        mask = np.zeros((h, w), dtype=bool)
-        plan = GroundedPlan("grasp", object=GroundedReference("block", [mask] * n_views))
-        return SimpleNamespace(instruction=instruction, history=history, views=views,
-                               plan_text=f"plan {len(records)}", gt_plan=plan)
-
-    for _ in range(n_records):
-        if records and rng.random() < 0.3:
-            views = _frames_copy(records[int(rng.integers(len(records)))].views)
-        else:
-            views = _frames_copy(ViewSet([
-                View(depth=rng.choice([0.0, 0.25, 0.5], size=(h, w)).astype(np.float32),
-                     ids=rng.integers(0, 3, size=(h, w), dtype=np.int32))
-                for _ in range(n_views)
-            ]))
-        history = [(), ("a",), ("a", "b")][int(rng.integers(3))]
-        records.append(record(["open", "close"][int(rng.integers(2))], history, views))
+def assert_lookups_match_reference(records, record, rng, h, w):
+    """Add a record repeating another's frames, shuffle, and check that every lookup
+    of each record's frames, and of copies with one id, one depth byte or the sign
+    of one zero depth changed, gets the digest-keyed reference's answer."""
     # A later record with equal frames but another plan text replaces the earlier one.
     dup = records[int(rng.integers(len(records)))]
     same = dup.views if rng.random() < 0.5 else _frames_copy(dup.views)
@@ -337,3 +314,97 @@ def test_replay_lookup_matches_digest_keyed_reference(h, w, n_views, n_records, 
             for other in records:
                 call = (other.instruction, views, other.history)
                 assert _answer(planner, *call) == _answer(reference, *call)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    h=st.integers(1, 80),
+    w=st.integers(1, 80),
+    n_views=st.integers(1, 3),
+    n_records=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_replay_lookup_matches_digest_keyed_reference(h, w, n_views, n_records, seed):
+    rng = np.random.default_rng(seed)
+    records = []
+
+    def record(instruction, history, views):
+        mask = np.zeros((h, w), dtype=bool)
+        plan = GroundedPlan("grasp", object=GroundedReference("block", [mask] * n_views))
+        return SimpleNamespace(instruction=instruction, history=history, views=views,
+                               plan_text=f"plan {len(records)}", gt_plan=plan)
+
+    for _ in range(n_records):
+        if records and rng.random() < 0.3:
+            views = _frames_copy(records[int(rng.integers(len(records)))].views)
+        else:
+            views = _frames_copy(ViewSet([
+                View(depth=rng.choice([0.0, 0.25, 0.5], size=(h, w)).astype(np.float32),
+                     ids=rng.integers(0, 3, size=(h, w), dtype=np.int32))
+                for _ in range(n_views)
+            ]))
+        history = [(), ("a",), ("a", "b")][int(rng.integers(3))]
+        records.append(record(["open", "close"][int(rng.integers(2))], history, views))
+    assert_lookups_match_reference(records, record, rng, h, w)
+
+
+def test_replay_lookup_on_read_views_matches_digest_keyed_reference(tmp_path):
+    """The lookup check on views read through _views_from_json, whose [oid, runs]
+    entries may overlap (later entries win), mixed with plain copies of them: a
+    key taken from the runs must equal the key of the decoded frames."""
+    from groundplan.datasets import _resolver, _views_from_json, write_depth
+    from groundplan.masks import rle_encode
+    from groundplan.scene import CameraModel
+
+    (tmp_path / "depth").mkdir()
+    inside = _resolver(str(tmp_path))
+    files = itertools.count()
+
+    def read_views(rng, h, w, n_views):
+        """A reader of one record's views: rectangles of oids 0-3 with holes, depth in files."""
+        id_maps, names = [], []
+        for _ in range(n_views):
+            per_cam = []
+            for oid in rng.integers(0, 4, size=int(rng.integers(0, 5))):
+                r0, r1 = sorted(rng.integers(0, h + 1, size=2))
+                c0, c1 = sorted(rng.integers(0, w + 1, size=2))
+                mask = np.zeros((h, w), dtype=bool)
+                mask[r0:r1, c0:c1] = rng.random((r1 - r0, c1 - c0)) < rng.choice([0.5, 1.0])
+                per_cam.append([int(oid), rle_encode(mask)])
+            id_maps.append(per_cam)
+            names.append(f"depth/{next(files)}.bin")
+            write_depth(str(tmp_path / names[-1]), rng.choice([0.0, 0.25, 0.5], size=(h, w)))
+        cameras = [CameraModel(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=w, height=h,
+                               rotation=np.eye(3), translation=np.zeros(3))] * n_views
+        id_maps = json.loads(json.dumps(id_maps))  # as the reader receives them
+        return lambda: _views_from_json(id_maps, names, cameras, inside, "rec.json")
+
+    @settings(max_examples=100, deadline=None)
+    @given(h=st.integers(1, 40), w=st.integers(1, 40), n_views=st.integers(1, 3),
+           n_records=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def check(h, w, n_views, n_records, seed):
+        rng = np.random.default_rng(seed)
+        records, readers = [], []
+
+        def record(instruction, history, views):
+            mask = np.zeros((h, w), dtype=bool)
+            plan = GroundedPlan("grasp", object=GroundedReference("block", [mask] * n_views))
+            return SimpleNamespace(instruction=instruction, history=history, views=views,
+                                   plan_text=f"plan {len(records)}", gt_plan=plan)
+
+        for _ in range(n_records):
+            u = rng.random()
+            if records and u < 0.2:  # the same record read again: new objects, equal frames
+                views = readers[int(rng.integers(len(readers)))]()
+            elif records and u < 0.4:
+                views = _frames_copy(records[int(rng.integers(len(records)))].views)
+            else:
+                readers.append(read_views(rng, h, w, n_views))
+                views = readers[-1]()
+            for v in views:
+                assert v.id_counts() == View(depth=v.depth, ids=v.ids).id_counts()
+            history = [(), ("a",)][int(rng.integers(2))]
+            records.append(record(["open", "close"][int(rng.integers(2))], history, views))
+        assert_lookups_match_reference(records, record, rng, h, w)
+
+    check()

@@ -492,3 +492,12 @@ def test_suite_file_roundtrip(tmp_path, suite):
     back = load_suite(str(path))
     assert suite_digest(back) == suite_digest(suite)
     assert [t.key for t in back] == [t.key for t in suite]
+
+
+def test_task_digest_is_computed_once_and_equals_a_fresh_sha256(suite):
+    import hashlib
+
+    for task in suite:
+        fresh = hashlib.sha256(json.dumps(task_to_json(task), sort_keys=True).encode())
+        assert task.digest() == fresh.hexdigest()
+        assert task.digest() is task.digest()
