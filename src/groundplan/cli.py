@@ -14,7 +14,7 @@ import sys
 from .evaluate import eval_offline, eval_online, render_report, result_from_json
 from .executor import GroundingConfig, summarize_trace_file
 from .geometry import DbscanParams
-from .jsonfile import read_json
+from .jsonfile import read_json, typed
 from .planners import (CorruptedPlanner, CorruptionConfig, ReplayPlanner, corrupt,
                        oracle_factory, with_mask_noise)
 from .scene import default_rig
@@ -24,9 +24,9 @@ _EPISODES = ("gen-data", "run-online")
 _CORRUPTION = ("eval-offline", "run-online")
 _ONLINE = ("run-online",)
 
-# name: (type, default, help, subcommands that take it). The type is int,
-# float, str, bool (a flag without a value; JSON true or false) or a tuple
-# of the allowed strings.
+# name: (kind, default, help, subcommands that take it). The kind is a
+# jsonfile kind: int, float, str, bool (a flag without a value; JSON true or
+# false) or a tuple of the allowed strings.
 SETTINGS = {
     "suite": (str, "builtin", "suite JSON path, or builtin", _EPISODES),
     "resolution": (int, 256, "camera width and height in pixels", _EPISODES),
@@ -46,25 +46,15 @@ SETTINGS = {
     "dbscan-eps": (float, 0.02, "DBSCAN neighbourhood radius in metres", _ONLINE),
     "dbscan-min-pts": (int, 5, "DBSCAN neighbours that make a core point", _ONLINE),
 }
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
 
 
-def _load_config(path: str | None) -> dict:
-    """The config file's settings, each checked against its SETTINGS type."""
-    config = read_json(path) if path else {}
+def _config_from_json(config: dict) -> dict:
+    """The config file's settings, each checked against its SETTINGS kind."""
     for name, value in config.items():
         if name not in SETTINGS:
-            raise ValueError(f"{path}: unknown field {name!r}")
+            raise ValueError(f"unknown field {name!r}")
         kind = SETTINGS[name][0]
-        if isinstance(kind, tuple):
-            ok, want = value in kind, "one of " + ", ".join(kind)
-        else:
-            # JSON true and false load as bool, which Python counts as an int
-            ok = isinstance(value, (int, float) if kind is float else kind) and (
-                kind is bool or not isinstance(value, bool))
-            want = _TYPE_NAMES[kind]
-        if not ok:
-            raise ValueError(f"{path}: {name} must be {want}")
+        typed(value, kind, name)
         if kind is float:
             config[name] = float(value)
     return config
@@ -242,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, _settings(args, _load_config(args.config)))
+        config = read_json(args.config, _config_from_json) if args.config else {}
+        return args.func(args, _settings(args, config))
     except (RuntimeError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

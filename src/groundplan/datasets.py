@@ -23,10 +23,10 @@ payload and decodes no id map. A view read from a dataset keeps its id map as
 the record's runs and decodes it into the int32 frame the first time ``.ids``
 is read, and it reads its depth file the first time ``.depth`` is read; a file
 that has vanished or changed size by then is a `DatasetReadError` naming it.
-Offline replay scoring keys records on id-map pixel counts taken from the runs
-(`View.id_counts`), matches views by identity and scores against the
-ground-truth masks, so it opens no depth file and rarely decodes an id map.
-Records of one dataset share one `CameraModel` per distinct camera JSON.
+Offline replay scoring keys records on id-map pixel counts (`View.id_counts`),
+taken from the runs in the walk that checks them, matches views by identity and
+scores against the ground-truth masks, so it opens no depth file and rarely
+decodes an id map. Records of one dataset share one `CameraModel` per camera.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from operator import le
 import numpy as np
 
 from .executor import EpisodeTrace, run_episode
-from .jsonfile import JsonFileError, read_json
+from .jsonfile import JsonFileError, fields, invalid, read_json, typed
 from .masks import mask_from_json, mask_to_json, rle_decode, rle_encode
 from .planlang import GroundedPlan, history_text, plan_from_json, plan_to_json
 from .planners import oracle_factory
@@ -103,22 +103,6 @@ class RefExpRecord:
     kind: str = "refexp"
 
 
-def _is_str(value) -> bool:
-    return type(value) is str
-
-
-def _is_str_list(value) -> bool:
-    return type(value) is list and all(type(s) is str for s in value)
-
-
-def _field(d: dict, name: str, valid, expected: str):
-    """d[name], or a ValueError naming the field unless valid(d[name])."""
-    value = d[name]
-    if not valid(value):
-        raise ValueError(f"field {name!r} must be {expected}, got {value!r}")
-    return value
-
-
 @dataclass
 class DatasetManifest:
     kind: str
@@ -136,17 +120,15 @@ class DatasetManifest:
 
     @classmethod
     def from_json(cls, d: dict) -> "DatasetManifest":
-        return cls(
-            kind=d["kind"],
-            suite_hash=d["suite_hash"],
-            seed=d["seed"],
-            episodes_per_variation=d["episodes_per_variation"],
-            counts=dict(d["counts"]),
-            total_records=d["total_records"],
-            total_episodes=d["total_episodes"],
-            mean_keysteps_per_episode=d["mean_keysteps_per_episode"],
-            files=list(_field(d, "files", _is_str_list, "a list of strings")),
-        )
+        manifest = fields(d, _MANIFEST)
+        for key, n in manifest["counts"].items():
+            typed(n, int, f"counts.{key}")
+        return cls(**manifest)
+
+
+_MANIFEST = {"kind": ("plan", "refexp", "long"), "suite_hash": str, "seed": int,
+             "episodes_per_variation": int, "counts": dict, "total_records": int,
+             "total_episodes": int, "mean_keysteps_per_episode": float, "files": [str]}
 
 
 # -- keystep extraction -------------------------------------------------------
@@ -223,14 +205,15 @@ def _camera_to_json(cam: CameraModel) -> dict:
             "translation": cam.translation.tolist()}
 
 
-def _camera_from_json(d: dict) -> CameraModel:
-    return CameraModel(
-        fx=d["fx"], fy=d["fy"], cx=d["cx"], cy=d["cy"],
-        width=d["width"], height=d["height"],
-        rotation=np.asarray(d["rotation"]).reshape(3, 3),
-        translation=np.asarray(d["translation"]),
-        role=d["role"],
-    )
+_CAMERA = {"fx": float, "fy": float, "cx": float, "cy": float, "width": int, "height": int,
+           "rotation": [float], "translation": [float], "role": str}
+
+
+def _camera_from_json(d: dict, path: str) -> CameraModel:
+    try:
+        return CameraModel(**fields(d, _CAMERA, path))
+    except ValueError as e:  # a rotation or translation of the wrong size, or a bad focal length
+        raise ValueError(f"field '{path}': {e}") from e
 
 
 def _camera_reader():
@@ -240,10 +223,10 @@ def _camera_reader():
     share 0.0's or 1.0's model; it costs a tenth of repr's float formatting."""
     built: dict[bytes, CameraModel] = {}
 
-    def camera(d: dict) -> CameraModel:
+    def camera(d: dict, path: str) -> CameraModel:
         key = pickle.dumps(d)
         if key not in built:
-            built[key] = _camera_from_json(d)
+            built[key] = _camera_from_json(d, path)
         return built[key]
 
     return camera
@@ -282,10 +265,11 @@ class _RunsView(View):
     and its depth stays in its file until .depth is first read. Both frames are
     read-only once built: an identity match implies equal bytes."""
 
-    def __init__(self, path: str, shape: tuple[int, int], id_runs: list):
+    def __init__(self, path: str, shape: tuple[int, int], id_runs: list, counts: tuple | None):
         self._path = path
         self._shape = shape
         self._id_runs = id_runs
+        self._counts = counts
 
     @cached_property
     def depth(self) -> np.ndarray:
@@ -308,50 +292,44 @@ class _RunsView(View):
         return ids
 
     def id_counts(self) -> tuple:
-        return self._id_counts
-
-    @cached_property
-    def _id_counts(self) -> tuple:
-        """View.id_counts from the runs when no two entries' on-intervals overlap,
-        so that each nonzero pixel's oid is its one covering entry's; from the
-        decoded frame otherwise. Sorted, the ends never pass the next start iff
-        no point is covered twice."""
-        starts: list[int] = []
-        ends: list[int] = []
-        counts: dict[int, int] = {}
-        for oid, runs in self._id_runs:
-            edges = list(accumulate(runs))
-            n = len(runs) & ~1
-            starts += edges[0:n:2]
-            ends += edges[1:n:2]
-            if oid:
-                counts[oid] = counts.get(oid, 0) + sum(runs[1::2])
-        starts.sort()
-        ends.sort()
-        if not all(map(le, ends, starts[1:])):
-            return super().id_counts()
-        return self._shape, tuple(sorted((oid, n) for oid, n in counts.items() if n))
+        """View.id_counts: the counts the runs gave when read, else the decoded frame's."""
+        if self._counts is None:
+            self._counts = super().id_counts()[1]
+        return self._shape, self._counts
 
 
-def _check_id_map(per_cam, pixels: int) -> None:
-    """Raise ValueError unless per_cam is a list of [oid, runs] entries, each oid
-    a JSON integer in int32 range and each runs non-negative JSON integers that
-    sum to pixels: what _RunsView.ids needs to decode without error."""
-    if type(per_cam) is not list:
-        raise ValueError("expected a list of [oid, runs] entries")
-    for j, entry in enumerate(per_cam):
-        if type(entry) is not list or len(entry) != 2:
-            raise ValueError(f"entry {j} is not an [oid, runs] pair")
+def _id_map_counts(per_cam, pixels: int, field: str) -> tuple | None:
+    """Check a view's id map at field path `field`, [oid, runs] entries with int32
+    oids and non-negative runs that sum to pixels, so that _RunsView.ids decodes it
+    without error. In the same walk, return its View.id_counts pairs if no two
+    entries' on-intervals overlap, so that each nonzero pixel's oid is its one
+    covering entry's; else None. Sorted, the ends never pass the next start iff no
+    point is covered twice."""
+    starts: list[int] = []
+    ends: list[int] = []
+    counts: dict[int, int] = {}
+    for j, entry in enumerate(typed(per_cam, [list], field)):
+        if len(entry) != 2:
+            raise invalid(f"{field}[{j}]", "an [oid, runs] pair", entry)
         oid, runs = entry
-        if type(oid) is not int or not -2**31 <= oid < 2**31:
-            raise ValueError(f"object id {oid!r} is not an int32 (entry {j})")
-        if type(runs) is not list or not set(map(type, runs)) <= {int}:
-            raise ValueError(f"run lengths must be a list of integers (entry {j})")
+        if not -2**31 <= typed(oid, int, f"{field}[{j}][0]") < 2**31:
+            raise invalid(f"{field}[{j}][0]", "an int32", oid)
+        edges = list(accumulate(typed(runs, [int], f"{field}[{j}][1]")))
         if runs and min(runs) < 0:
-            raise ValueError(f"run lengths must be non-negative (entry {j})")
-        total = sum(runs)
+            raise invalid(f"{field}[{j}][1]", "non-negative run lengths", runs)
+        total = edges[-1] if edges else 0
         if total != pixels:
-            raise ValueError(f"run lengths sum to {total}, expected {pixels} (entry {j})")
+            raise ValueError(f"field '{field}[{j}][1]' must sum to {pixels}, got {total}")
+        n = len(runs) & ~1
+        starts += edges[0:n:2]
+        ends += edges[1:n:2]
+        if oid:
+            counts[oid] = counts.get(oid, 0) + sum(runs[1::2])
+    starts.sort()
+    ends.sort()
+    if not all(map(le, ends, starts[1:])):
+        return None
+    return tuple(sorted((oid, n) for oid, n in counts.items() if n))
 
 
 def _views_from_json(id_maps: list, depth_files: list[str], cameras: list[CameraModel],
@@ -369,11 +347,8 @@ def _views_from_json(id_maps: list, depth_files: list[str], cameras: list[Camera
             raise DatasetReadError(
                 json_path, 0, f"depth_files[{i}] {depth_file!r} is {w}x{h}, "
                 f"its camera {cam.width}x{cam.height}")
-        try:
-            _check_id_map(per_cam, h * w)
-        except ValueError as e:
-            raise DatasetReadError(json_path, 0, f"id_maps[{i}]: {e}") from e
-        views.append(_RunsView(path, (h, w), per_cam))
+        counts = _id_map_counts(per_cam, h * w, f"id_maps[{i}]")
+        views.append(_RunsView(path, (h, w), per_cam, counts))
     return ViewSet(views)
 
 
@@ -381,67 +356,45 @@ def _depth_names(episode: str, keystep: int, cameras: list[CameraModel]) -> list
     return [f"depth/{episode}_{keystep}_{cam.role}.bin" for cam in cameras]
 
 
+_RECORD = {"kind": ("plan", "long", "refexp"), "episode": str, "keystep": int, "task": str,
+           "group": str, "cameras": [dict], "depth_files": [str], "id_maps": [list],
+           "inventory": [list]}
+_KEYSTEP = {"instruction": str, "history": [str], "plan_text": str, "gt_plan": dict,
+            "pair": ([str], None)}
+_REFEXP = {"query": str, "object_id": int, "gt_masks": [dict]}
+
+
 def _record_to_json(rec) -> dict:
-    base = {
-        "kind": rec.kind,
-        "episode": rec.episode,
-        "keystep": rec.keystep,
-        "task": rec.task,
-        "group": rec.group,
-        "cameras": [_camera_to_json(c) for c in rec.cameras],
-        "depth_files": _depth_names(rec.episode, rec.keystep, rec.cameras),
-        "id_maps": _id_maps_to_json(rec.views),
-        "inventory": [[oid, name] for oid, name in rec.inventory],
-    }
-    if isinstance(rec, KeystepRecord):
-        base.update({
-            "instruction": rec.instruction,
-            "history": list(rec.history),
-            "plan_text": rec.plan_text,
-            "gt_plan": plan_to_json(rec.gt_plan),
-            "pair": list(rec.pair) if rec.pair else None,
-        })
+    """The record's JSON: each field of its tables, read from the record or encoded."""
+    plan = isinstance(rec, KeystepRecord)
+    d = {name: getattr(rec, name, None) for name in (*_RECORD, *(_KEYSTEP if plan else _REFEXP))}
+    d.update(cameras=[_camera_to_json(c) for c in rec.cameras],
+             depth_files=_depth_names(rec.episode, rec.keystep, rec.cameras),
+             id_maps=_id_maps_to_json(rec.views))
+    if plan:
+        d["gt_plan"] = plan_to_json(rec.gt_plan)
     else:
-        base.update({
-            "query": rec.query,
-            "object_id": rec.object_id,
-            "gt_masks": [mask_to_json(m) for m in rec.gt_masks],
-        })
-    return base
+        d["gt_masks"] = [mask_to_json(m) for m in rec.gt_masks]
+    return d
 
 
 def _record_from_json(d: dict, inside, camera, path: str):
-    cameras = [camera(c) for c in d["cameras"]]
-    views = _views_from_json(d["id_maps"], d["depth_files"], cameras, inside, path)
-    inventory = [(int(oid), name) for oid, name in d["inventory"]]
-    if d["kind"] in ("plan", "long"):
-        return KeystepRecord(
-            episode=d["episode"],
-            keystep=d["keystep"],
-            task=d["task"],
-            group=d["group"],
-            instruction=_field(d, "instruction", _is_str, "a string"),
-            history=tuple(_field(d, "history", _is_str_list, "a list of strings")),
-            plan_text=_field(d, "plan_text", _is_str, "a string"),
-            gt_plan=plan_from_json(d["gt_plan"]),
-            views=views,
-            cameras=cameras,
-            inventory=inventory,
-            kind=d["kind"],
-            pair=tuple(d["pair"]) if d.get("pair") else None,
-        )
-    return RefExpRecord(
-        episode=d["episode"],
-        keystep=d["keystep"],
-        task=d["task"],
-        group=d["group"],
-        query=d["query"],
-        object_id=d["object_id"],
-        gt_masks=[mask_from_json(m) for m in d["gt_masks"]],
-        views=views,
-        cameras=cameras,
-        inventory=inventory,
-    )
+    rec = fields(d, _RECORD)
+    plan = rec["kind"] != "refexp"
+    rec.update(fields(d, _KEYSTEP if plan else _REFEXP, "", {"pair": None}))
+    rec["cameras"] = [camera(c, f"cameras[{i}]") for i, c in enumerate(rec["cameras"])]
+    rec["views"] = _views_from_json(rec.pop("id_maps"), rec.pop("depth_files"), rec["cameras"],
+                                    inside, path)
+    rec["inventory"] = [(typed(oid, int, f"inventory[{j}][0]"),
+                         typed(name, str, f"inventory[{j}][1]"))
+                        for j, (oid, name) in enumerate(rec["inventory"])]
+    if not plan:
+        rec["gt_masks"] = [mask_from_json(m, f"gt_masks[{i}]")
+                           for i, m in enumerate(rec["gt_masks"])]
+        return RefExpRecord(**rec)
+    rec.update(history=tuple(rec["history"]), gt_plan=plan_from_json(rec["gt_plan"], "gt_plan"),
+               pair=tuple(rec["pair"]) if rec["pair"] else None)
+    return KeystepRecord(**rec)
 
 
 def _record_filename(rec) -> str:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .executor import GroundingConfig, run_episode
+from .jsonfile import fields
 from .objectives import iou
 from .planlang import PlanParseError, normalize_text, parse_plan
 from .planners import Planner, PlannerFactory
@@ -59,13 +60,18 @@ class OfflineResult:
 
     @classmethod
     def from_json(cls, d: dict) -> "OfflineResult":
-        groups = {
-            g: GroupMetrics(act=m["act"], obj=m["obj"], grd=m["grd"],
-                            keysteps=m["keysteps"])
-            for g, m in d["groups"].items()
-        }
-        rows = [KeystepScore(**r) for r in d["rows"]]
+        d = fields(d, {"groups": dict, "rows": [dict]})
+        groups = {g: GroupMetrics(**fields(m, _GROUP, f"groups.{g}"))
+                  for g, m in d["groups"].items()}
+        rows = [KeystepScore(**fields(r, _ROW, f"rows[{i}]", {"error": None}))
+                for i, r in enumerate(d["rows"])]
         return cls(groups=groups, rows=rows)
+
+
+_GROUP = {"act": float, "obj": float, "grd": float, "keysteps": int}
+_VARIATION = {"runs": [float], "mean": float, "std": float}
+_ROW = {"episode": str, "keystep": int, "task": str, "group": str, "act": float, "obj": float,
+        "grd": float, "error": (str, None)}
 
 
 @dataclass
@@ -97,8 +103,8 @@ class OnlineResult:
     @classmethod
     def from_json(cls, d: dict) -> "OnlineResult":
         return cls(variations={
-            k: VariationResult(runs=list(v["runs"]))
-            for k, v in d["variations"].items()
+            k: VariationResult(fields(v, _VARIATION, f"variations.{k}")["runs"])
+            for k, v in fields(d, {"variations": dict})["variations"].items()
         })
 
 
@@ -242,8 +248,5 @@ def render_report(result, fmt: str = "table") -> str:
 
 
 def result_from_json(d: dict):
-    if d.get("type") == "offline":
-        return OfflineResult.from_json(d)
-    if d.get("type") == "online":
-        return OnlineResult.from_json(d)
-    raise ValueError("not a recognized results payload")
+    kind = fields(d, {"type": ("offline", "online")})["type"]
+    return (OfflineResult if kind == "offline" else OnlineResult).from_json(d)

@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .jsonfile import fields
+
+_MASK = {"size": [int], "runs": [int]}
+
 
 def rle_encode(mask: np.ndarray) -> list[int]:
     """Encode a 2D binary mask as alternating zero/one run lengths."""
@@ -31,7 +35,7 @@ def rle_decode(runs: list[int], shape: tuple[int, int]) -> np.ndarray:
     total = sum(runs)
     if total != h * w:
         raise ValueError(f"run lengths sum to {total}, expected {h * w}")
-    if any(r < 0 for r in runs):
+    if runs and min(runs) < 0:
         raise ValueError("run lengths must be non-negative")
     values = np.zeros(len(runs), dtype=bool)
     values[1::2] = True
@@ -43,5 +47,10 @@ def mask_to_json(mask: np.ndarray) -> dict:
     return {"size": list(mask.shape), "runs": rle_encode(mask)}
 
 
-def mask_from_json(d: dict) -> np.ndarray:
-    return rle_decode(d["runs"], tuple(d["size"]))
+def mask_from_json(d: dict, path: str = "mask") -> np.ndarray:
+    """The mask in JSON object d at field path `path`; errors name the field."""
+    m = fields(d, _MASK, path)
+    try:
+        return rle_decode(m["runs"], tuple(m["size"]))
+    except ValueError as e:  # a size that is not [h, w], or runs that do not fill it
+        raise ValueError(f"field '{path}': {e}") from e

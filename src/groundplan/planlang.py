@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .jsonfile import fields
 from .masks import mask_from_json, mask_to_json
 
 SEG = "<seg>"
@@ -319,15 +320,17 @@ def plan_to_json(plan: GroundedPlan) -> dict:
     }
 
 
-def plan_from_json(obj: dict) -> GroundedPlan:
-    def ref_from(o):
-        if o is None:
-            return None
-        masks = [mask_from_json(m) for m in o["masks"]]
-        return GroundedReference(text=o["text"], masks=masks)
+_PLAN = {"action": str, "object": (dict, None), "location": (dict, None)}
+_REFERENCE = {"text": str, "masks": [dict]}
 
-    return GroundedPlan(
-        action=obj["action"],
-        object=ref_from(obj.get("object")),
-        location=ref_from(obj.get("location")),
-    )
+
+def plan_from_json(obj: dict, path: str = "plan") -> GroundedPlan:
+    """The plan in JSON object obj at field path `path`; errors name the field."""
+    plan = fields(obj, _PLAN, path, {"object": None, "location": None})
+    for slot in ("object", "location"):
+        if plan[slot] is not None:
+            at = f"{path}.{slot}"
+            ref = fields(plan[slot], _REFERENCE, at)
+            plan[slot] = GroundedReference(ref["text"], [
+                mask_from_json(m, f"{at}.masks[{i}]") for i, m in enumerate(ref["masks"])])
+    return GroundedPlan(**plan)

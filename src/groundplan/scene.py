@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .colors import display_name
+from .jsonfile import fields
 
 
 def _vec3(v) -> np.ndarray:
@@ -421,22 +422,22 @@ class ViewSet:
 # -- shape JSON (task suites) ------------------------------------------------
 
 
-def shape_from_json(d: dict) -> Shape:
-    kind = d["kind"]
-    if kind == "box":
-        return Box(half_extents=np.asarray(d["half_extents"]))
-    if kind == "cylinder":
-        return Cylinder(radius=d["radius"], height=d["height"])
-    if kind == "sphere":
-        return Sphere(radius=d["radius"])
-    if kind == "prismatic":
-        return Prismatic(
-            body_half=np.asarray(d["body_half"]),
-            slider_half=np.asarray(d["slider_half"]),
-            slider_offset=np.asarray(d["slider_offset"]),
-            axis=np.asarray(d["axis"]),
-            travel=d["travel"],
-            fraction=d.get("fraction", 0.0),
-            ratchet=d.get("ratchet", False),
-        )
-    raise ValueError(f"unknown shape kind {kind!r}")
+# kind -> (shape class, the fields of a shape of that kind)
+_SHAPES = {
+    "box": (Box, {"half_extents": [float]}),
+    "cylinder": (Cylinder, {"radius": float, "height": float}),
+    "sphere": (Sphere, {"radius": float}),
+    "prismatic": (Prismatic, {"body_half": [float], "slider_half": [float],
+                              "slider_offset": [float], "axis": [float], "travel": float,
+                              "fraction": float, "ratchet": bool}),
+}
+
+
+def shape_from_json(d: dict, path: str = "shape") -> Shape:
+    """The shape in JSON object d at field path `path`; errors name the field."""
+    cls, table = _SHAPES[fields(d, {"kind": tuple(_SHAPES)}, path)["kind"]]
+    values = fields(d, table, path, {"fraction": 0.0, "ratchet": False})
+    try:
+        return cls(**values)
+    except ValueError as e:  # a vector that is not three numbers, or a bad extent
+        raise ValueError(f"field '{path}': {e}") from e

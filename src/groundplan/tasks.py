@@ -9,20 +9,21 @@ This module owns the success predicate tree. `predicate_terms` is the one
 walk over it: it yields the terms other than `all_of`, depth-first, and
 `check_success`, the oracle's joint targets and the suite reader all go
 through it. `_TERMS` is the one table of term kinds, their evaluators and
-the fields each term must hold as a JSON number.
+the fields each term holds, with their JSON kinds.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
+from dataclasses import fields as dataclass_fields
 from functools import cached_property
 from importlib import resources
 
 import numpy as np
 
-from .jsonfile import read_json
+from .jsonfile import fields, invalid, read_json
 from .planlang import ACTIONS
 from .scene import GripperState, Scene, SceneObject, Shape, shape_from_json
 
@@ -57,10 +58,6 @@ class PlanSlot:
     object_role: str | None = None
     location_role: str | None = None
 
-    def __post_init__(self):
-        if self.action not in ACTIONS:
-            raise ValueError(f"unknown action {self.action!r}")
-
 
 @dataclass(frozen=True)
 class DistractorConfig:
@@ -87,13 +84,13 @@ class TaskScript:
     def __post_init__(self):
         if not self.plan:
             raise ValueError("plan sequence must be non-empty")
-        if self.group not in GROUPS:
-            raise ValueError(f"group must be one of {GROUPS}")
         roles = {o.role for o in self.objects}
-        for slot in self.plan:
-            for role in (slot.object_role, slot.location_role):
-                if role is not None and role not in roles:
-                    raise ValueError(f"plan references unknown role {role!r}")
+        refs = [("plan", r) for s in self.plan for r in (s.object_role, s.location_role)]
+        refs += [("success", t.get(k)) for t in predicate_terms(self.success)
+                 for k in ("object", "location")]
+        for where, role in refs:
+            if role is not None and role not in roles:
+                raise ValueError(f"{where} references unknown role {role!r}")
 
     @property
     def key(self) -> str:
@@ -154,23 +151,30 @@ def _joint_fraction(pred: dict, scene: Scene) -> float:
     return obj.shape.fraction
 
 
-# kind -> (evaluator, the fields a term of that kind must hold as JSON numbers)
+# kind -> (evaluator, the fields a term of that kind holds). all_of has no
+# evaluator: predicate_terms walks into its terms.
 _TERMS = {
-    "object_within": (_object_within, ("tol",)),
-    "object_near": (_object_near, ("tol",)),
-    "joint_at_least": (
-        lambda pred, scene, _: _joint_fraction(pred, scene) >= pred["threshold"], ("threshold",)),
-    "joint_at_most": (
-        lambda pred, scene, _: _joint_fraction(pred, scene) <= pred["threshold"], ("threshold",)),
+    "all_of": (None, {"terms": [dict]}),
+    "object_within": (_object_within, {"object": str, "location": str, "tol": float}),
+    "object_near": (_object_near, {"object": str, "location": str, "tol": float,
+                                   "require_held": bool}),
+    "joint_at_least": (lambda pred, scene, _: _joint_fraction(pred, scene) >= pred["threshold"],
+                       {"object": str, "threshold": float}),
+    "joint_at_most": (lambda pred, scene, _: _joint_fraction(pred, scene) <= pred["threshold"],
+                      {"object": str, "threshold": float}),
 }
 
 
-def predicate_terms(pred: dict):
+def predicate_terms(pred: dict, path: str | None = None):
     """The predicate's terms other than all_of, depth-first. Lazy, so a caller
-    that stops early never walks, or trips over, the rest of the tree."""
+    that stops early never walks, or trips over, the rest of the tree. Given the
+    tree's field path, the suite reader's walk checks each node's fields first."""
+    if path is not None:
+        kind = fields(pred, {"kind": tuple(_TERMS)}, path)["kind"]
+        fields(pred, _TERMS[kind][1], path, {"require_held": False})
     if pred["kind"] == "all_of":
-        for term in pred["terms"]:
-            yield from predicate_terms(term)
+        for i, term in enumerate(pred["terms"]):
+            yield from predicate_terms(term, None if path is None else f"{path}.terms[{i}]")
     else:
         yield pred
 
@@ -179,18 +183,6 @@ def _term_evaluator(kind: str):
     if kind not in _TERMS:
         raise ValueError(f"unknown predicate kind {kind!r}")
     return _TERMS[kind][0]
-
-
-def _check_term(term: dict) -> None:
-    """Raise ValueError unless the term's kind is known and its numeric fields are
-    JSON numbers (a bool is not one), so a bad term fails when its suite is read."""
-    kind = term["kind"]
-    _term_evaluator(kind)
-    for name in _TERMS[kind][1]:
-        value = term[name]
-        if type(value) not in (int, float):
-            raise ValueError(f"success term {kind} field {name!r} must be a number, "
-                             f"got {value!r}")
 
 
 def check_success(scene: Scene, gripper: GripperState, task: TaskScript) -> bool:
@@ -204,87 +196,67 @@ def check_success(scene: Scene, gripper: GripperState, task: TaskScript) -> bool
 
 
 def task_to_json(task: TaskScript) -> dict:
+    """The task's suite JSON: each field of _TASK, read from the task or encoded."""
+    # vars, not dataclasses.asdict: asdict deep-copies every field, and every sampled
+    # scene digests its task.
     return {
-        "name": task.name,
-        "variation": task.variation,
-        "group": task.group,
-        "tags": list(task.tags),
-        "instruction": task.instruction,
-        # vars, not dataclasses.asdict: asdict deep-copies every field, and every sampled
-        # scene digests its task.
+        **{name: getattr(task, name) for name in _TASK},
         "objects": [{**vars(o), "color": list(o.color)} for o in task.objects],
-        "plan": [
-            {
-                "action": s.action,
-                "object": s.object_role,
-                "location": s.location_role,
-            }
-            for s in task.plan
-        ],
-        "success": task.success,
-        "distractors": {
-            "min": task.distractors.min_count,
-            "max": task.distractors.max_count,
-        },
+        "plan": [{"action": s.action, "object": s.object_role, "location": s.location_role}
+                 for s in task.plan],
+        "distractors": {"min": task.distractors.min_count, "max": task.distractors.max_count},
+        "tags": list(task.tags),
     }
 
 
-def task_from_json(d: dict) -> TaskScript:
-    """A task from its suite JSON. Shapes, colours and predicate term kinds are
-    checked here, so that a bad suite fails when read, where its file is known."""
-    for o in d["objects"]:
-        shape_from_json(o["shape"])  # sample_scene builds a fresh shape per scene
-        color = o["color"]
-        if len(color) != 3 or not all(type(c) is int and 0 <= c <= 255 for c in color):
-            raise ValueError(f"color must be three integers in 0-255, got {color!r}")
-    for term in predicate_terms(d["success"]):
-        _check_term(term)
-    objects = tuple(
-        ObjectSpec(
-            role=o["role"],
-            raw_name=o["raw_name"],
-            shape=o["shape"],
-            color=tuple(o["color"]),
-            color_varies=o.get("color_varies", False),
-            graspable=o.get("graspable", False),
-            is_location=o.get("is_location", False),
-            height=o.get("height"),
-            fixed_yaw=o.get("fixed_yaw"),
-        )
-        for o in d["objects"]
-    )
-    plan = tuple(
-        PlanSlot(
-            action=s["action"],
-            object_role=s.get("object"),
-            location_role=s.get("location"),
-        )
-        for s in d["plan"]
-    )
-    dis = d.get("distractors", {})
-    return TaskScript(
-        name=d["name"],
-        variation=int(d["variation"]),
-        group=d["group"],
-        instruction=d["instruction"],
-        objects=objects,
-        plan=plan,
-        success=d["success"],
-        distractors=DistractorConfig(
-            min_count=dis.get("min", 0), max_count=dis.get("max", 2)
-        ),
-        tags=tuple(d.get("tags", ())),
-    )
+_TASK = {"objects": [dict], "plan": [dict], "success": dict, "name": str, "variation": int,
+         "group": GROUPS, "instruction": str, "distractors": dict, "tags": [str]}
+_OBJECT = {"role": str, "raw_name": str, "shape": dict, "color": [int], "color_varies": bool,
+           "graspable": bool, "is_location": bool, "height": (float, None),
+           "fixed_yaw": (float, None)}
+_OBJECT_DEFAULTS = {f.name: f.default for f in dataclass_fields(ObjectSpec)
+                    if f.default is not MISSING}
+_SLOT = {"action": ACTIONS, "object": (str, None), "location": (str, None)}
+_DISTRACTORS = {"min": int, "max": int}
+
+
+def task_from_json(d: dict, path: str = "task") -> TaskScript:
+    """A task from its suite JSON at field path `path`. Every field is checked
+    here, and so are shapes, colours and predicate terms, so that a bad suite
+    fails when read, where its file is known."""
+    t = fields(d, _TASK, path, {"distractors": {}, "tags": []})
+    objects = []
+    for i, o in enumerate(t["objects"]):
+        at = f"{path}.objects[{i}]"
+        spec = fields(o, _OBJECT, at, _OBJECT_DEFAULTS)
+        shape_from_json(spec["shape"], f"{at}.shape")  # sample_scene builds a fresh shape per scene
+        color = spec["color"]
+        if len(color) != 3 or not all(0 <= c <= 255 for c in color):
+            raise invalid(f"{at}.color", "three integers in 0-255", color)
+        objects.append(ObjectSpec(**{**spec, "color": tuple(color)}))
+    slots = (fields(s, _SLOT, f"{path}.plan[{i}]", {"object": None, "location": None})
+             for i, s in enumerate(t["plan"]))
+    plan = [PlanSlot(s["action"], s["object"], s["location"]) for s in slots]
+    list(predicate_terms(t["success"], f"{path}.success"))  # the walk checks every term
+    dis = fields(t["distractors"], _DISTRACTORS, f"{path}.distractors", {"min": 0, "max": 2})
+    return TaskScript(**{**t, "objects": tuple(objects), "plan": tuple(plan),
+                         "distractors": DistractorConfig(dis["min"], dis["max"]),
+                         "tags": tuple(t["tags"])})
+
+
+def _suite_from_json(d: dict) -> list[TaskScript]:
+    tasks = fields(d, {"tasks": [dict]})["tasks"]
+    return [task_from_json(t, f"tasks[{i}]") for i, t in enumerate(tasks)]
 
 
 def load_suite(path: str) -> list[TaskScript]:
-    return read_json(path, lambda d: [task_from_json(t) for t in d["tasks"]])
+    return read_json(path, _suite_from_json)
 
 
 def builtin_suite() -> list[TaskScript]:
     """The suite shipped with the package (all four generalization groups)."""
     raw = resources.files("groundplan.data").joinpath("suite.json").read_text()
-    return [task_from_json(t) for t in json.loads(raw)["tasks"]]
+    return _suite_from_json(json.loads(raw))
 
 
 def suite_digest(tasks: list[TaskScript]) -> str:

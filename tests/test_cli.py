@@ -176,7 +176,8 @@ def test_config_boolean_must_be_json_bool(tmp_path, capsys, field, value):
     config.write_text(json.dumps({field: value, "episodes": 1, "runs": 1, "resolution": 96}))
     rc = main(["--config", str(config), "run-online", "--planner", "corrupted"])
     assert rc == 1
-    assert capsys.readouterr().err.strip() == f"error: {config}: {field} must be true or false"
+    assert capsys.readouterr().err.strip() == (
+        f"error: {config} @ byte 0: field '{field}' must be true or false, got {value!r}")
 
 
 @pytest.mark.parametrize("field", ["episdoes", "dbscan_filter", "dbscan"])
@@ -185,7 +186,7 @@ def test_config_rejects_unknown_fields(tmp_path, capsys, field):
     config.write_text(json.dumps({"episodes": 1, field: True}))
     rc = main(["--config", str(config), "check-grads", "--trials", "1"])
     assert rc == 1
-    assert capsys.readouterr().err.strip() == f"error: {config}: unknown field '{field}'"
+    assert capsys.readouterr().err.strip() == f"error: {config} @ byte 0: unknown field '{field}'"
 
 
 @pytest.mark.parametrize("field, value, want", [
@@ -200,7 +201,8 @@ def test_config_value_must_have_its_settings_type(tmp_path, capsys, field, value
     config.write_text(json.dumps({"episodes": 1, "runs": 1, "resolution": 96, field: value}))
     rc = main(["--config", str(config), "run-online", "--out", str(tmp_path / "r.txt")])
     assert rc == 1
-    assert capsys.readouterr().err.strip() == f"error: {config}: {field} must be {want}"
+    assert capsys.readouterr().err.strip() == (
+        f"error: {config} @ byte 0: field '{field}' must be {want}, got {value!r}")
     assert not (tmp_path / "r.txt").exists()
 
 
@@ -296,30 +298,54 @@ def _suite(shape=None, color=None, success=None) -> str:
 @pytest.mark.parametrize("command, flag, content, message", [
     ("run-online", "--suite", '{"tasks": [{"name": "x"}]}', "@ byte 0: missing field 'objects'"),
     ("run-online", "--suite", _suite(shape={"kind": "sphere", "radius": "big"}),
-     "@ byte 0: '<=' not supported between instances of 'str' and 'int'"),
+     "@ byte 0: field 'tasks[0].objects[0].shape.radius' must be a number, got 'big'"),
     ("run-online", "--suite", _suite(shape={"kind": "cone", "radius": 0.02}),
-     "@ byte 0: unknown shape kind 'cone'"),
+     "@ byte 0: field 'tasks[0].objects[0].shape.kind' must be one of box, cylinder, sphere, "
+     "prismatic, got 'cone'"),
     ("run-online", "--suite", _suite(shape={"kind": "box", "half_extents": [0.02, -0.02, 0.02]}),
-     "@ byte 0: box half extents must be positive"),
+     "@ byte 0: field 'tasks[0].objects[0].shape': box half extents must be positive"),
     ("run-online", "--suite", _suite(success={"kind": "all_of", "terms": [
         {"kind": "joint_at_least", "object": "a", "threshold": 0.5},
         {"kind": "object_above", "object": "a", "location": "a"}]}),
-     "@ byte 0: unknown predicate kind 'object_above'"),
+     "@ byte 0: field 'tasks[0].success.terms[1].kind' must be one of all_of, object_within, "
+     "object_near, joint_at_least, joint_at_most, got 'object_above'"),
     ("run-online", "--suite", _suite(success={"kind": "object_near", "object": "a",
                                               "location": "a", "tol": "near"}),
-     "@ byte 0: success term object_near field 'tol' must be a number, got 'near'"),
+     "@ byte 0: field 'tasks[0].success.tol' must be a number, got 'near'"),
     ("run-online", "--suite", _suite(success={"kind": "all_of", "terms": [
         {"kind": "joint_at_least", "object": "a", "threshold": True}]}),
-     "@ byte 0: success term joint_at_least field 'threshold' must be a number, got True"),
+     "@ byte 0: field 'tasks[0].success.terms[0].threshold' must be a number, got True"),
     ("run-online", "--suite", _suite(color=[255, 0]),
-     "@ byte 0: color must be three integers in 0-255, got [255, 0]"),
+     "@ byte 0: field 'tasks[0].objects[0].color' must be three integers in 0-255, "
+     "got [255, 0]"),
     ("run-online", "--suite", _suite(color="white"),
-     "@ byte 0: color must be three integers in 0-255, got 'white'"),
+     "@ byte 0: field 'tasks[0].objects[0].color' must be a list of integers, got 'white'"),
+    ("run-online", "--suite", _suite().replace('"raw_name": "block"', '"raw_name": 3'),
+     "@ byte 0: field 'tasks[0].objects[0].raw_name' must be a string, got 3"),
+    ("run-online", "--suite", _suite().replace('"variation": 0', '"variation": 1.7'),
+     "@ byte 0: field 'tasks[0].variation' must be an integer, got 1.7"),
+    ("run-online", "--suite", _suite().replace('"name": "t"', '"name": 7'),
+     "@ byte 0: field 'tasks[0].name' must be a string, got 7"),
+    ("run-online", "--suite", _suite().replace('"raw_name": "block"',
+                                               '"raw_name": "block", "height": "h"'),
+     "@ byte 0: field 'tasks[0].objects[0].height' must be a number or null, got 'h'"),
+    ("run-online", "--suite", _suite(success={"kind": "joint_at_least", "object": 3,
+                                              "threshold": 0.5}),
+     "@ byte 0: field 'tasks[0].success.object' must be a string, got 3"),
+    ("run-online", "--suite", _suite(success={"kind": "joint_at_least", "object": "b",
+                                              "threshold": 0.5}),
+     "@ byte 0: success references unknown role 'b'"),
+    ("run-online", "--suite", _suite(success={"kind": "all_of", "terms": "x"}),
+     "@ byte 0: field 'tasks[0].success.terms' must be a list of objects, got 'x'"),
     ("run-online", "--suite", '{"tasks": [', "@ byte 11: Expecting value"),
     ("report", "--in", '{"type": "offline"}', "@ byte 0: missing field 'groups'"),
     ("report", "--in", '{"type": "offline", ',
      "@ byte 20: Expecting property name enclosed in double quotes"),
     ("report", "--in", "[]", "@ byte 0: expected a JSON object"),
+    ("report", "--in", '{"type": "online", "variations": []}',
+     "@ byte 0: field 'variations' must be an object, got []"),
+    ("report", "--in", '{"type": "online", "variations": {"t+0": {"runs": "x"}}}',
+     "@ byte 0: field 'variations.t+0.runs' must be a list of numbers, got 'x'"),
     ("report", "--in", '{"type": "été", ', "@ byte 18: Expecting property name enclosed "
      "in double quotes"),
 ])

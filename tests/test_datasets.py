@@ -389,7 +389,10 @@ def test_missing_field_reports_file_and_field(tmp_path, suite, small_rig, capsys
     ("records/", "history", 5),
     ("records/", "cameras", "abc"),
     ("manifest.json", "counts", [1]),
-], ids=["record-history-int", "record-cameras-string", "manifest-counts-list"])
+    ("manifest.json", "counts", {"a": "x"}),
+    ("manifest.json", "seed", "x"),
+], ids=["record-history-int", "record-cameras-string", "manifest-counts-list",
+        "manifest-count-string", "manifest-seed-string"])
 def test_wrong_field_type_reports_file(tmp_path, suite, small_rig, capsys, victim, field, value):
     from groundplan.cli import main
 
@@ -461,20 +464,25 @@ def _set_field(name, value):
     (lambda rec, data: rec["depth_files"].pop(), "depth_files has 1 entries for 2 cameras"),
     (lambda rec, data: rec["id_maps"].pop(), "id_maps has 1 entries for 2 cameras"),
     (_wrong_resolution, "depth_files[1] "),
-    (_bad_runs, "id_maps[1]: run lengths sum to"),
-    (_set_oid(3.7), "id_maps[1]: object id 3.7 is not an int32"),
-    (_set_oid("x"), "id_maps[1]: object id 'x' is not an int32"),
-    (_set_oid(2**40), f"id_maps[1]: object id {2**40} is not an int32"),
-    (_float_run, "id_maps[1]: run lengths must be a list of integers"),
+    (_bad_runs, "field 'id_maps[1][0][1]' must sum to 9216, got 9217"),
+    (_set_oid(3.7), "field 'id_maps[1][0][0]' must be an integer, got 3.7"),
+    (_set_oid("x"), "field 'id_maps[1][0][0]' must be an integer, got 'x'"),
+    (_set_oid(2**40), f"field 'id_maps[1][0][0]' must be an int32, got {2**40}"),
+    (_float_run, "field 'id_maps[1][0][1]' must be a list of integers, got ["),
     (_set_field("instruction", 7), "field 'instruction' must be a string, got 7"),
     (_set_field("plan_text", None), "field 'plan_text' must be a string, got None"),
     (_set_field("history", "ab"), "field 'history' must be a list of strings, got 'ab'"),
     (_set_field("history", [3]), "field 'history' must be a list of strings, got [3]"),
+    (_set_field("episode", 3), "field 'episode' must be a string, got 3"),
+    (_set_field("group", None), "field 'group' must be a string, got None"),
+    (_set_field("kind", "xyz"), "field 'kind' must be one of plan, long, refexp, got 'xyz'"),
+    (_set_field("keystep", "0"), "field 'keystep' must be an integer, got '0'"),
 ], ids=["depth-relative-escape", "depth-absolute-escape", "depth-symlink-escape",
         "depth-files-short",
         "id-maps-short", "depth-resolution", "id-map-runs",
         "id-map-oid-float", "id-map-oid-string", "id-map-oid-int64", "id-map-run-float",
-        "instruction-int", "plan-text-null", "history-string", "history-int-item"])
+        "instruction-int", "plan-text-null", "history-string", "history-int-item",
+        "episode-int", "group-null", "kind-unknown", "keystep-string"])
 def test_malformed_record_reports_file_and_field(tmp_path, suite, small_rig, edit, message):
     data = tmp_path / "data"
     man = gen_plan_dataset(suite[:1], 1, 0, str(data), rig=small_rig)
