@@ -17,6 +17,7 @@ import numpy as np
 
 from .geometry import (
     ROBOT,
+    ROBOT_RADIUS,
     TARGET_LOCATION,
     TARGET_OBJECT,
     DbscanParams,
@@ -29,6 +30,7 @@ from .geometry import (
     unproject,
     unproject_pixels,
 )
+from .jsonfile import fields, read_json_lines, typed
 from .planlang import (
     GroundedPlan,
     PlanParseError,
@@ -37,7 +39,7 @@ from .planlang import (
     parse_plan,
 )
 from .planners import EpisodeContext, PlannerFactory
-from .render import render_views
+from .render import pixel_rect, render_views
 from .scene import CameraRig, GripperState, ViewSet, default_rig
 from .simulate import (
     MAX_TRANSLATE,
@@ -73,6 +75,36 @@ class GroundingConfig:
     dbscan: DbscanParams = field(default_factory=DbscanParams)
 
 
+# The robot sphere's bound, widened past the rounding of an unprojected point.
+_ROBOT_BOUND = ROBOT_RADIUS + 1e-6
+_NO_PIXELS = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
+
+
+def _robot_pixels(view, cam, gripper: GripperState) -> tuple[np.ndarray, np.ndarray]:
+    """(vs, us), in row-major order, of the scene pixels whose point may be a
+    robot point: the held object's, and those inside both the pixel rectangle
+    and the camera-z span of the robot sphere around the gripper. A point on a
+    pixel's ray at depth d has camera z = d, so every point within ROBOT_RADIUS
+    of the gripper passes both tests."""
+    gp, held = gripper.position, gripper.held
+    rect = pixel_rect(cam, gp, _ROBOT_BOUND)
+    if rect is not None:
+        u0, u1, v0, v1 = rect
+        z = (cam.rotation @ gp + cam.translation)[2]
+        depth = view.depth[v0:v1, u0:u1]
+        near = ((view.ids[v0:v1, u0:u1] != 0) & (depth > 0)
+                & (depth >= z - _ROBOT_BOUND) & (depth <= z + _ROBOT_BOUND))
+    if not held:  # nothing held (id 0 is background, never a scene point): the window alone
+        if rect is None:
+            return _NO_PIXELS
+        vs, us = pixel_indices(near)
+        return vs + v0, us + u0
+    mask = (view.ids == held) & (view.depth > 0)
+    if rect is not None:
+        mask[v0:v1, u0:u1] |= near
+    return pixel_indices(mask)
+
+
 def ground_plan(
     plan: GroundedPlan,
     views: ViewSet,
@@ -80,7 +112,13 @@ def ground_plan(
     gripper: GripperState,
     config: GroundingConfig = GroundingConfig(),
 ) -> LabeledPointCloud:
-    """Unproject, fuse and categorize one plan's masks against the views."""
+    """Unproject, fuse and categorize one plan's masks against the views.
+
+    The motion policy reads target and robot points only. So the scene pass
+    unprojects only the pixels that can become robot points, in view and
+    row-major order, and every other valid scene pixel is an obstacle that
+    the cloud counts without a point.
+    """
     reference_clouds: dict[str, np.ndarray] = {}
     for slot, ref in plan.references():
         per_view = [
@@ -94,8 +132,10 @@ def ground_plan(
 
     scene_parts = []
     id_parts = []
+    hidden = 0
     for view, cam in zip(views, rig.cameras):
-        vs, us = pixel_indices((view.ids != 0) & (view.depth > 0))
+        vs, us = _robot_pixels(view, cam, gripper)
+        hidden += view.scene_pixels() - len(vs)
         scene_parts.append(unproject_pixels(view.depth, vs, us, cam))
         id_parts.append(view.ids[vs, us])
     scene_points = np.concatenate(scene_parts) if scene_parts else np.empty((0, 3))
@@ -107,6 +147,7 @@ def ground_plan(
         gripper.position,
         held_id=gripper.held,
         scene_ids=scene_ids,
+        hidden_obstacles=hidden,
     )
 
 
@@ -394,53 +435,56 @@ def run_episode(
 # -- trace serialization -----------------------------------------------------------
 
 
+# The fields of a trace file's header line and of each step line, with their JSON
+# kinds. The writer writes these fields and `inspect` checks them when it reads.
+_TRACE_HEADER = {"task": str, "group": str, "instruction": str, "seed": int, "chunk": int,
+                 "terminal": str, "motion_steps": int, "planner_calls": int, "history": [str]}
+_TRACE_ROW = {"index": int, "keystep": bool, "raw_text": str, "error": (str, None),
+              "action": (str, None), "cloud_counts": dict, "motion": [dict],
+              "gripper_position": [float], "gripper_held": (int, None),
+              "history_before": [str]}
+_TRACE_MOTION = {"kind": str, "delta": ([float], None), "object_id": (int, None),
+                 "amount": float}
+
+
 def trace_to_jsonl(trace: EpisodeTrace, path: str) -> None:
     """One JSON object per line: a header, then one line per step."""
     with open(path, "w") as f:
-        header = {
-            "task": trace.task_key,
-            "group": trace.group,
-            "instruction": trace.instruction,
-            "seed": trace.seed,
-            "chunk": trace.chunk,
-            "terminal": trace.terminal,
-            "motion_steps": trace.motion_steps,
-            "planner_calls": trace.planner_calls,
-            "history": trace.history,
-        }
+        header = {name: getattr(trace, name) for name in _TRACE_HEADER if name != "task"}
+        header["task"] = trace.task_key
         f.write(json.dumps(header, sort_keys=True) + "\n")
         for s in trace.steps:
-            row = {
-                "index": s.index,
-                "keystep": s.keystep,
-                "raw_text": s.raw_text,
-                "error": s.error,
-                "action": s.plan.action if s.plan else None,
-                "cloud_counts": s.cloud_counts,
-                "motion": [dict(vars(m)) for m in s.motion],
-                "gripper_position": list(s.gripper_position),
-                "gripper_held": s.gripper_held,
-                "history_before": list(s.history_before),
-            }
+            row = {name: getattr(s, name, None) for name in _TRACE_ROW}
+            row.update(
+                action=s.plan.action if s.plan else None,
+                motion=[dict(vars(m)) for m in s.motion],
+                gripper_position=list(s.gripper_position),
+                history_before=list(s.history_before),
+            )
             f.write(json.dumps(row, sort_keys=True) + "\n")
 
 
+def _trace_row(d: dict) -> dict:
+    row = fields(d, _TRACE_ROW)
+    for name, n in row["cloud_counts"].items():
+        typed(n, int, f"cloud_counts.{name}")
+    for i, m in enumerate(row["motion"]):
+        fields(m, _TRACE_MOTION, f"motion[{i}]")
+    return row
+
+
 def summarize_trace_file(path: str) -> str:
-    """Human-readable trace rendering for the `inspect` subcommand."""
-    lines = []
-    with open(path) as f:
-        header = json.loads(f.readline())
-        lines.append(
-            f"task={header['task']} seed={header['seed']} chunk={header['chunk']} "
-            f"terminal={header['terminal']} motion_steps={header['motion_steps']} "
-            f"planner_calls={header['planner_calls']}"
-        )
-        for line in f:
-            s = json.loads(line)
-            mark = "*" if s["keystep"] else " "
-            status = s["error"] or s["raw_text"]
-            lines.append(
-                f"{mark}[{s['index']:3d}] {status}  "
-                f"(+{len(s['motion'])} motion)"
-            )
+    """Human-readable trace rendering for the `inspect` subcommand. A line that is
+    not JSON, or lacks a field or holds one of another kind, is a JsonFileError
+    naming the file and the line's byte offset."""
+    header, rows = read_json_lines(path, lambda d: fields(d, _TRACE_HEADER), _trace_row)
+    lines = [
+        f"task={header['task']} seed={header['seed']} chunk={header['chunk']} "
+        f"terminal={header['terminal']} motion_steps={header['motion_steps']} "
+        f"planner_calls={header['planner_calls']}"
+    ]
+    for s in rows:
+        mark = "*" if s["keystep"] else " "
+        status = s["error"] or s["raw_text"]
+        lines.append(f"{mark}[{s['index']:3d}] {status}  (+{len(s['motion'])} motion)")
     return "\n".join(lines)

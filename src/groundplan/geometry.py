@@ -1,8 +1,11 @@
 """Camera math and the grounding-to-3D pipeline.
 
 Masked depth pixels are unprojected to world points, fused across views with
-voxel deduplication, labeled into the four point categories consumed by the
-motion policy, and optionally cleaned with DBSCAN outlier removal. All
+voxel deduplication, labeled into the four point categories of the motion
+policy, and optionally cleaned with DBSCAN outlier removal. The policy reads
+target-object, target-location and robot points only, so the grounded cloud
+stores those and counts the other obstacles; it keeps obstacle points only
+where they lie close enough to the gripper that they might have been robot. All
 functions are pure and canonicalize point order, so results are independent
 of view order and safe to compare bit-for-bit.
 
@@ -64,10 +67,18 @@ class DbscanParams:
 
 @dataclass
 class LabeledPointCloud:
-    """World points with exactly one category label each."""
+    """World points with exactly one category label each, plus obstacles that
+    are only counted.
+
+    The motion policy reads target-object, target-location and robot points
+    alone, so grounding stores those and only counts most obstacle points:
+    `hidden_obstacles` of them have no entry in `points`, and `counts()` adds
+    them to the obstacle count.
+    """
 
     points: np.ndarray  # (N, 3) float64
     labels: np.ndarray  # (N,) int8
+    hidden_obstacles: int = 0
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
@@ -82,10 +93,10 @@ class LabeledPointCloud:
         return self.points[self.labels == label]
 
     def counts(self) -> dict[str, int]:
-        return {
-            name: int(np.count_nonzero(self.labels == i))
-            for i, name in enumerate(LABEL_NAMES)
-        }
+        counts = {name: int(np.count_nonzero(self.labels == i))
+                  for i, name in enumerate(LABEL_NAMES)}
+        counts["obstacle"] += self.hidden_obstacles
+        return counts
 
 
 def unproject(depth: np.ndarray, mask: np.ndarray, camera: CameraModel) -> np.ndarray:
@@ -147,7 +158,11 @@ def _pack_cells(cells: np.ndarray, size: float, pad: int = 0) -> tuple[np.ndarra
     of an occupied one has a key too. Raises ValueError, naming the span and
     the cell size, when the keys would not fit in int64.
     """
-    lo, hi = cells.min(axis=0), cells.max(axis=0)
+    # Reduced along rows of a contiguous copy: an axis-0 reduction of the (n, 3)
+    # array strides through memory and takes several times as long. min and max
+    # are exact, so the keys are the same.
+    per_axis = np.ascontiguousarray(cells.T)
+    lo, hi = per_axis.min(axis=1), per_axis.max(axis=1)
     radix = None
     if np.isfinite([lo, hi]).all() and -(2**63) <= lo.min() and hi.max() < 2**63:
         radix = [int(h) - int(l) + 1 + 2 * pad for l, h in zip(lo, hi)]
@@ -249,6 +264,7 @@ def categorize(
     gripper_position: np.ndarray,
     held_id: int | None = None,
     scene_ids: np.ndarray | None = None,
+    hidden_obstacles: int = 0,
 ) -> LabeledPointCloud:
     """Label points with the four motion-policy categories.
 
@@ -256,7 +272,8 @@ def categorize(
     cloud. Scene points default to obstacle. Points within ROBOT_RADIUS
     of the gripper, plus scene points belonging to the held object, become
     robot points; precedence is robot > target object > target location >
-    obstacle.
+    obstacle. hidden_obstacles counts obstacle points left out of
+    scene_points; the cloud carries the count.
     """
     parts, labels = [], []
     obj = reference_clouds.get("object")
@@ -275,7 +292,7 @@ def categorize(
         if held_id is not None and scene_ids is not None:
             held_mask = np.asarray(scene_ids).reshape(-1) == held_id
     if not parts:
-        return LabeledPointCloud(np.empty((0, 3)), np.empty(0, dtype=np.int8))
+        return LabeledPointCloud(np.empty((0, 3)), np.empty(0, dtype=np.int8), hidden_obstacles)
     points = np.concatenate(parts)
     label = np.concatenate(labels)
     if held_mask is not None:
@@ -284,4 +301,4 @@ def categorize(
     gp = np.asarray(gripper_position, dtype=float).reshape(3)
     near = np.sqrt(sq_norms(points - gp)) <= ROBOT_RADIUS
     label[near] = ROBOT
-    return LabeledPointCloud(points, label)
+    return LabeledPointCloud(points, label, hidden_obstacles)

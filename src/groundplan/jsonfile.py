@@ -85,20 +85,42 @@ def fields(d, table: dict, path: str = "", defaults: dict | None = None) -> dict
     return out
 
 
+def _parsed(path: str, offset: int, text, parse, error: type[JsonFileError]):
+    """parse() of the JSON object in text, which starts at byte offset of path."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as e:  # e.pos counts characters, not bytes
+        raise error(path, offset + len(e.doc[:e.pos].encode()), e.msg) from e
+    except UnicodeDecodeError as e:
+        raise error(path, offset + e.start, "not UTF-8 text") from e
+    if not isinstance(payload, dict):
+        raise error(path, offset, "expected a JSON object")
+    try:
+        return parse(payload)
+    except KeyError as e:
+        raise error(path, offset, f"missing field {e.args[0]!r}") from e
+    except (TypeError, ValueError) as e:
+        raise error(path, offset, str(e)) from e
+
+
 def read_json(path: str, parse=dict, error: type[JsonFileError] = JsonFileError):
     """parse() of the JSON object in path. Bad JSON, a top-level value that is not
     an object, and a field that parse() finds missing or rejects with a TypeError
     or ValueError are each an `error` naming the path."""
-    try:
-        with open(path) as f:
-            payload = json.load(f)
-    except json.JSONDecodeError as e:  # e.pos counts characters, not bytes
-        raise error(path, len(e.doc[:e.pos].encode()), e.msg) from e
-    if not isinstance(payload, dict):
-        raise error(path, 0, "expected a JSON object")
-    try:
-        return parse(payload)
-    except KeyError as e:
-        raise error(path, 0, f"missing field {e.args[0]!r}") from e
-    except (TypeError, ValueError) as e:
-        raise error(path, 0, str(e)) from e
+    with open(path) as f:
+        return _parsed(path, 0, f.read(), parse, error)
+
+
+def read_json_lines(path: str, first, rest) -> tuple:
+    """(first(header), [rest(line), ...]) for a JSON Lines file: one JSON object
+    per line, the first parsed by `first` and every later one by `rest`. Errors
+    are those of read_json, at the byte offset of the line or of the bad
+    character in it."""
+    with open(path, "rb") as f:
+        lines = f.readlines() or [b""]  # an empty file lacks its first object
+    parsed, offset = [], 0
+    for line in lines:
+        text = line.rstrip(b"\r\n")  # a line cut short is bad where it ends, not past it
+        parsed.append(_parsed(path, offset, text, rest if parsed else first, JsonFileError))
+        offset += len(line)
+    return parsed[0], parsed[1:]

@@ -154,7 +154,7 @@ def _bounding_sphere(prim) -> tuple[np.ndarray, float]:
     return center, float(np.linalg.norm(half))
 
 
-def _pixel_rect(cam: CameraModel, center: np.ndarray, radius: float):
+def pixel_rect(cam: CameraModel, center: np.ndarray, radius: float):
     """Conservative pixel rectangle covering a bounding sphere, or None."""
     c_cam = cam.rotation @ center + cam.translation
     z = c_cam[2]
@@ -188,7 +188,7 @@ def render_camera(scene: Scene, cam: CameraModel) -> View:
     ids = np.zeros((cam.height, cam.width), dtype=np.int32)
     parts = []
     for oid, prim in _primitives(scene):
-        rect = _pixel_rect(cam, *_bounding_sphere(prim))
+        rect = pixel_rect(cam, *_bounding_sphere(prim))
         if rect is not None:
             parts.append((oid, prim, rect))
     if parts:

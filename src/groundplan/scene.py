@@ -320,6 +320,24 @@ def _pinhole(eye, target, role: str, resolution: int, up=(0.0, 0.0, 1.0)) -> Cam
 
 WRIST_OFFSET = np.array([0.0, 0.0, 0.30])
 
+# look_at's rotation for a wrist eye straight above its target, by the bytes of
+# forward's x and y. For every finite gripper position forward is (0, 0, -a),
+# so z = forward / a is (0, 0, -1) and the rotation is the same; only the signs
+# of the two zeros can differ (-0.0 - 0.0 is -0.0), so there are four at most.
+_WRIST_ROTATIONS: dict[bytes, np.ndarray] = {}
+
+
+def _wrist_pose(gp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """look_at(gp + WRIST_OFFSET, gp), with its read-only rotation computed once."""
+    eye = gp + WRIST_OFFSET
+    key = (gp - eye)[:2].tobytes()
+    rot = _WRIST_ROTATIONS.get(key)
+    if rot is None:
+        rot = look_at(eye, gp)[0]
+        rot.flags.writeable = False
+        _WRIST_ROTATIONS[key] = rot
+    return rot, -rot @ eye
+
 
 @dataclass
 class CameraRig:
@@ -333,16 +351,17 @@ class CameraRig:
         """Rig with any wrist camera re-aimed at the current gripper pose.
 
         The wrist camera hovers a fixed offset above the gripper looking
-        straight down; other cameras are static.
+        straight down; other cameras are static. The wrist rotation never
+        changes, so the posed camera is a copy with a new translation, and
+        the orthonormality check of a new CameraModel is not re-run.
         """
         gp = _vec3(gripper_position)
         cams = []
         for cam in self.cameras:
             if cam.role == "wrist":
-                rot, t = look_at(gp + WRIST_OFFSET, gp)
-                cams.append(replace(cam, rotation=rot, translation=t))
-            else:
-                cams.append(cam)
+                cam = copy.copy(cam)
+                cam.rotation, cam.translation = _wrist_pose(gp)
+            cams.append(cam)
         return CameraRig(cams)
 
 
@@ -374,6 +393,17 @@ class View:
 
     def mask_for(self, oid: int) -> np.ndarray:
         return self.ids == oid
+
+    def scene_pixels(self) -> int:
+        """The pixels with an object id and positive depth: one scene point each.
+        Rendered and read frames are read-only, so their count is kept, and a view
+        reused across planner calls is counted once."""
+        count = self.__dict__.get("_scene_pixels")
+        if count is None:
+            count = int(np.count_nonzero((self.ids != 0) & (self.depth > 0)))
+            if not (self.depth.flags.writeable or self.ids.flags.writeable):
+                self._scene_pixels = count
+        return count
 
     def object_ids(self) -> list[int]:
         """The nonzero ids in the view, ascending. Only the nonzero pixels are

@@ -84,13 +84,18 @@ class TaskScript:
     def __post_init__(self):
         if not self.plan:
             raise ValueError("plan sequence must be non-empty")
-        roles = {o.role for o in self.objects}
+        roles = {o.role: o for o in self.objects}
+        terms = list(predicate_terms(self.success, "success"))
         refs = [("plan", r) for s in self.plan for r in (s.object_role, s.location_role)]
-        refs += [("success", t.get(k)) for t in predicate_terms(self.success)
-                 for k in ("object", "location")]
+        refs += [("success", t.get(k)) for _, t in terms for k in ("object", "location")]
         for where, role in refs:
             if role is not None and role not in roles:
                 raise ValueError(f"{where} references unknown role {role!r}")
+        # A joint term reads the fraction that only an articulated shape has.
+        for at, t in terms:
+            if t["kind"] in _JOINT_TERMS and not hasattr(roles[t["object"]].build_shape(),
+                                                         "fraction"):
+                raise invalid(f"{at}.object", "the role of an articulated object", t["object"])
 
     @property
     def key(self) -> str:
@@ -165,10 +170,14 @@ _TERMS = {
 }
 
 
+_JOINT_TERMS = ("joint_at_least", "joint_at_most")
+
+
 def predicate_terms(pred: dict, path: str | None = None):
     """The predicate's terms other than all_of, depth-first. Lazy, so a caller
     that stops early never walks, or trips over, the rest of the tree. Given the
-    tree's field path, the suite reader's walk checks each node's fields first."""
+    tree's field path, the walk checks each node's fields first and yields
+    (field path, term) pairs."""
     if path is not None:
         kind = fields(pred, {"kind": tuple(_TERMS)}, path)["kind"]
         fields(pred, _TERMS[kind][1], path, {"require_held": False})
@@ -176,7 +185,7 @@ def predicate_terms(pred: dict, path: str | None = None):
         for i, term in enumerate(pred["terms"]):
             yield from predicate_terms(term, None if path is None else f"{path}.terms[{i}]")
     else:
-        yield pred
+        yield pred if path is None else (path, pred)
 
 
 def _term_evaluator(kind: str):

@@ -290,9 +290,28 @@ def _suite(shape=None, color=None, success=None) -> str:
         "objects": [{"role": "a", "raw_name": "block", "color": color or [255, 0, 0],
                      "shape": shape or {"kind": "box", "half_extents": [0.02, 0.02, 0.02]}}],
         "plan": [{"action": "push down", "object": "a"}],
-        "success": success or {"kind": "joint_at_least", "object": "a", "threshold": 0.5},
+        "success": success or {"kind": "object_near", "object": "a", "location": "a",
+                               "tol": 0.5},
     }
     return json.dumps({"tasks": [task]})
+
+
+_HEADER = {"task": "t+0", "group": "L1", "instruction": "x", "seed": 1, "chunk": 5,
+           "terminal": "success", "motion_steps": 1, "planner_calls": 1, "history": []}
+_ROW = {"index": 0, "keystep": True, "raw_text": "Release.", "error": None,
+        "action": "release", "cloud_counts": {}, "gripper_position": [0.0, 0.0, 0.3],
+        "gripper_held": None, "history_before": [],
+        "motion": [{"kind": "open_gripper", "delta": None, "object_id": None, "amount": 0.0}]}
+
+
+def _trace(*lines) -> str:
+    """A trace file of the given lines: dicts are written as JSON, text as is."""
+    return "".join((json.dumps(line) if isinstance(line, dict) else line) + "\n"
+                   for line in lines)
+
+
+def _without(d: dict, key: str) -> dict:
+    return {k: v for k, v in d.items() if k != key}
 
 
 @pytest.mark.parametrize("command, flag, content, message", [
@@ -337,6 +356,24 @@ def _suite(shape=None, color=None, success=None) -> str:
      "@ byte 0: success references unknown role 'b'"),
     ("run-online", "--suite", _suite(success={"kind": "all_of", "terms": "x"}),
      "@ byte 0: field 'tasks[0].success.terms' must be a list of objects, got 'x'"),
+    ("run-online", "--suite", _suite(success={"kind": "all_of", "terms": [
+        {"kind": "object_near", "object": "a", "location": "a", "tol": 0.1},
+        {"kind": "joint_at_most", "object": "a", "threshold": 0.5}]}),
+     "@ byte 0: field 'success.terms[1].object' must be the role of an articulated object, "
+     "got 'a'"),
+    ("inspect", "--trace", _trace({"task": 1}), "@ byte 0: field 'task' must be a string, got 1"),
+    ("inspect", "--trace", _trace(_without(_HEADER, "seed")), "@ byte 0: missing field 'seed'"),
+    ("inspect", "--trace", _trace(_HEADER, _ROW, _without(_ROW, "keystep")),
+     f"@ byte {len(_trace(_HEADER, _ROW))}: missing field 'keystep'"),
+    ("inspect", "--trace", _trace(_HEADER, "not json"),
+     f"@ byte {len(_trace(_HEADER))}: Expecting value"),
+    ("inspect", "--trace", _trace(_HEADER, '{"index": '),
+     f"@ byte {len(_trace(_HEADER)) + 10}: Expecting value"),
+    ("inspect", "--trace", _trace(_HEADER, {**_ROW, "motion": [{"kind": "translate"}]}),
+     f"@ byte {len(_trace(_HEADER))}: missing field 'delta'"),
+    ("inspect", "--trace", _trace(_HEADER, {**_ROW, "cloud_counts": {"robot": "3"}}),
+     f"@ byte {len(_trace(_HEADER))}: field 'cloud_counts.robot' must be an integer, got '3'"),
+    ("inspect", "--trace", "", "@ byte 0: Expecting value"),
     ("run-online", "--suite", '{"tasks": [', "@ byte 11: Expecting value"),
     ("report", "--in", '{"type": "offline"}', "@ byte 0: missing field 'groups'"),
     ("report", "--in", '{"type": "offline", ',

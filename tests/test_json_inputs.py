@@ -1,7 +1,8 @@
 """Every JSON input is checked field by field when it is read.
 
-Take a valid suite, dataset manifest, dataset record, results file or config,
-replace one value at any depth with a value of another JSON type, and read it.
+Take a valid suite, dataset manifest, dataset record, results file, config or
+episode trace, replace one value at any depth with a value of another JSON
+type, and read it.
 The reader raises a JsonFileError naming the file, or accepts the document
 only where the field may hold that value (the fields that take null), and the
 CLI exits 0 or 1 with `error: <file> @ byte ...`, never with a traceback.
@@ -19,8 +20,9 @@ from hypothesis import strategies as st
 from groundplan.cli import SETTINGS, _config_from_json, main
 from groundplan.datasets import gen_plan_dataset, gen_refexp_dataset, read_dataset
 from groundplan.evaluate import OnlineResult, VariationResult, eval_offline, result_from_json
+from groundplan.executor import run_episode, summarize_trace_file, trace_to_jsonl
 from groundplan.jsonfile import JsonFileError, read_json, typed
-from groundplan.planners import ReplayPlanner
+from groundplan.planners import ReplayPlanner, oracle_factory
 from groundplan.scene import default_rig
 from groundplan.tasks import builtin_suite, load_suite, task_to_json
 
@@ -137,3 +139,50 @@ def test_a_number_takes_an_integer_and_no_number_is_a_bool():
     for kind in (int, float):
         with pytest.raises(ValueError, match="field 'x' must be"):
             typed(True, kind, "x")
+
+
+# A trace line's fields that take null: a step's error, action and held id, and a
+# motion step's delta and object id.
+TRACE_NULLABLE = re.compile(r"^(error|action|gripper_held)$|\.(delta|object_id)$")
+
+
+def test_a_trace_value_of_another_json_type_is_a_file_error(tmp_path, capsys):
+    """`inspect` on a trace file with one value replaced, in the header or in a
+    step line: the error names the file and the byte offset of that line."""
+    path = tmp_path / "trace.jsonl"
+    trace_to_jsonl(run_episode(builtin_suite()[0], 1, oracle_factory, rig=default_rig(96)),
+                   str(path))
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(lines) > 2
+    fields: dict[tuple[bool, str], list[tuple[int, str]]] = {}
+    for i, line in enumerate(lines):
+        for at, _, _ in value_paths(line):
+            fields.setdefault((i == 0, re.sub(r"\[\d+\]", "[*]", at)), []).append((i, at))
+
+    def replaced(i, at, value) -> None:
+        mutated = json.loads(json.dumps(lines))
+        _, container, key = next(p for p in value_paths(mutated[i]) if p[0] == at)
+        container[key] = value
+        text = [json.dumps(line) + "\n" for line in mutated]
+        path.write_text("".join(text))
+        try:
+            summarize_trace_file(str(path))
+        except JsonFileError as e:
+            assert (e.path, e.offset) == (str(path), len("".join(text[:i])))
+        else:
+            assert TRACE_NULLABLE.search(at), f"line {i} {at} = {value!r} was read without error"
+        capsys.readouterr()
+        rc = main(["inspect", "--trace", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 0 or (rc == 1 and err.startswith(f"error: {path} @ byte ")), err
+
+    @settings(max_examples=2, deadline=None)
+    @given(st.data())
+    def check(data):
+        for instances in fields.values():
+            i, at = data.draw(st.sampled_from(instances))
+            _, container, key = next(p for p in value_paths(lines[i]) if p[0] == at)
+            for value in OTHER_TYPE[type(container[key])]:
+                replaced(i, at, value)
+
+    check()

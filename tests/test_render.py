@@ -3,7 +3,9 @@
 Frame reuse in render_views is checked against a full render of every
 camera. render_camera ray-casts only the band of rows its primitives' pixel
 rectangles span; it is checked bit for bit (`tobytes()`) against the
-full-frame render_camera it replaced, kept below as the reference.
+full-frame render_camera it replaced, kept below as the reference. The posed
+wrist camera reuses one rotation; its pose is checked bit for bit against
+look_at, which computed it on every call.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from groundplan.scene import (
     Scene,
     SceneObject,
     Sphere,
+    WRIST_OFFSET,
     View,
     look_at,
 )
@@ -130,7 +133,7 @@ def _reference_render_camera(scene, cam):
         dirs_world = render._camera_dirs(cam) @ cam.rotation
         for oid, prim in prims:
             sphere_c, sphere_r = render._bounding_sphere(prim)
-            rect = render._pixel_rect(cam, sphere_c, sphere_r)
+            rect = render.pixel_rect(cam, sphere_c, sphere_r)
             if rect is None:
                 continue
             u0, u1, v0, v1 = rect
@@ -247,8 +250,29 @@ def test_row_band_edge_cases(case, height, width):
         assert hit[-1].any()
     if case == "inside-bounding-sphere":  # both objects are hit
         assert set(np.unique(view.ids)) == {0, 1, 2}
-        assert render._pixel_rect(cam, *render._bounding_sphere(
+        assert render.pixel_rect(cam, *render._bounding_sphere(
             render._primitives(scene)[0][1])) == (0, width, 0, height)
     if case in ("none-visible", "empty"):
         assert not hit.any()
         assert view.depth.tobytes() == np.zeros((height, width), np.float32).tobytes()
+
+
+# -- wrist pose --------------------------------------------------------------------
+
+_coord = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e-300, 1e-300),
+                   st.floats(-1e-6, 1e-6), st.floats(-2.0, 2.0), st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=500, deadline=None)
+@given(gp=st.tuples(_coord, _coord, _coord))
+def test_posed_wrist_camera_equals_look_at(gp):
+    posed = RIG.posed(gp)
+    rot, t = look_at(np.array(gp) + WRIST_OFFSET, gp)
+    wrist, before = posed.cameras[2], RIG.cameras[2]
+    assert wrist.rotation.tobytes() == rot.tobytes()
+    assert wrist.translation.tobytes() == t.tobytes()
+    assert not wrist.rotation.flags.writeable
+    assert (wrist.fx, wrist.fy, wrist.cx, wrist.cy, wrist.width, wrist.height, wrist.role) == (
+        before.fx, before.fy, before.cx, before.cy, before.width, before.height, before.role)
+    assert wrist is not before
+    assert all(a is b for a, b in zip(posed.cameras[:2], RIG.cameras[:2]))

@@ -109,7 +109,7 @@ def test_unsatisfiable_layout_reports_placement_failure(suite):
             {"role": "b", "raw_name": "slab", "shape": big, "color": [9, 9, 9]},
         ],
         "plan": [{"action": "release"}],
-        "success": {"kind": "joint_at_least", "object": "a", "threshold": 0.5},
+        "success": {"kind": "object_near", "object": "a", "location": "b", "tol": 0.01},
         "distractors": {"min": 0, "max": 0},
     }
     with pytest.raises(PlacementError):
