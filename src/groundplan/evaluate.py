@@ -108,9 +108,6 @@ class OnlineResult:
         })
 
 
-# -- offline ------------------------------------------------------------------
-
-
 def score_keystep(rec, planner: Planner) -> KeystepScore:
     """Score one keystep record against a planner's output."""
     zero = dict(episode=rec.episode, keystep=rec.keystep, task=rec.task,
@@ -181,6 +178,9 @@ def eval_online(
     grounding: GroundingConfig = GroundingConfig(),
 ) -> OnlineResult:
     """Seeded task-completion evaluation; bit-reproducible for fixed inputs."""
+    for name, count in (("episodes", episodes), ("runs", runs)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
     variations: dict[str, VariationResult] = {}
     for vi, task in enumerate(suite):
         run_srs = []
@@ -196,7 +196,7 @@ def eval_online(
                     grounding=grounding,
                 )
                 successes += int(trace.success)
-            run_srs.append(successes / episodes if episodes else 0.0)
+            run_srs.append(successes / episodes)
         variations[task.key] = VariationResult(runs=run_srs)
     return OnlineResult(variations=variations)
 
@@ -239,7 +239,7 @@ def _online_csv(result: OnlineResult) -> str:
 def render_report(result, fmt: str = "table") -> str:
     """Render an Offline/OnlineResult as a table, JSON, or CSV."""
     if fmt == "json":
-        return json.dumps(result.to_json(), indent=2, sort_keys=True)
+        return json.dumps(result.to_json(), indent=2, sort_keys=True, allow_nan=False)
     if fmt == "csv":
         return (_offline_csv if isinstance(result, OfflineResult) else _online_csv)(result)
     if fmt == "table":

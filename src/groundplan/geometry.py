@@ -135,9 +135,19 @@ def unproject_pixels(
 
 
 def canonical_order(points: np.ndarray) -> np.ndarray:
+    """Rows sorted by x, then y, then z, ties in input order: np.lexsort's order.
+
+    Two stable passes: z, then (x, y) as one complex key, which numpy orders
+    by real part, then imaginary part. A NaN would order differently from
+    np.lexsort, so NaN is a ValueError.
+    """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
-    return pts[order]
+    if np.isnan(pts).any():
+        raise ValueError("canonical_order: points must not be NaN")
+    order = np.argsort(pts[:, 2], kind="stable")
+    xy = np.empty(len(order), dtype=complex)
+    xy.real, xy.imag = pts[order, 0], pts[order, 1]
+    return pts[order[np.argsort(xy, kind="stable")]]
 
 
 def sq_norms(v: np.ndarray) -> np.ndarray:

@@ -106,8 +106,8 @@ def _parsed(path: str, offset: int, text, parse, error: type[JsonFileError]):
 def read_json(path: str, parse=dict, error: type[JsonFileError] = JsonFileError):
     """parse() of the JSON object in path. Bad JSON, a top-level value that is not
     an object, and a field that parse() finds missing or rejects with a TypeError
-    or ValueError are each an `error` naming the path."""
-    with open(path) as f:
+    or ValueError are each an `error` naming the path, as is text that is not UTF-8."""
+    with open(path, "rb") as f:
         return _parsed(path, 0, f.read(), parse, error)
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from groundplan import cli
 from groundplan.cli import main
+from groundplan.evaluate import OnlineResult, VariationResult, render_report
 from groundplan.executor import run_episode, trace_to_jsonl
 from groundplan.geometry import DbscanParams
 from groundplan.planners import oracle_factory
@@ -274,6 +275,22 @@ def test_config_dbscan_keys_reach_grounding():
     assert not defaults.dbscan_enabled and defaults.dbscan == DbscanParams()
 
 
+@pytest.mark.parametrize("flag,value", [("--runs", "0"), ("--episodes", "0"), ("--runs", "-2")])
+def test_run_online_needs_an_episode_and_a_run(tmp_path, capsys, flag, value):
+    out = tmp_path / "results.json"
+    rc = main(["run-online", "--resolution", "96", "--format", "json", "--out", str(out),
+               flag, value])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == f"error: {flag[2:]} must be >= 1, got {value}"
+    assert not out.exists()
+
+
+def test_json_report_refuses_nan():
+    result = OnlineResult(variations={"t+0": VariationResult(runs=[float("nan")])})
+    with pytest.raises(ValueError, match="JSON compliant"):
+        render_report(result, "json")
+
+
 def test_gen_data_failure_names_the_resolution(tmp_path, capsys):
     out = tmp_path / "ds"
     rc = main(["gen-data", "--kind", "plan", "--episodes", "1", "--seed", "0",
@@ -385,9 +402,11 @@ def _without(d: dict, key: str) -> dict:
      "@ byte 0: field 'variations.t+0.runs' must be a list of numbers, got 'x'"),
     ("report", "--in", '{"type": "été", ', "@ byte 18: Expecting property name enclosed "
      "in double quotes"),
+    ("run-online", "--suite", b'{"tasks": "\xff"}', "@ byte 11: not UTF-8 text"),
+    ("report", "--in", b'{"type": "\xc3\xa9t\xe9"}', "@ byte 13: not UTF-8 text"),
 ])
 def test_malformed_input_file_names_its_path(tmp_path, capsys, command, flag, content, message):
     path = tmp_path / "input.json"
-    path.write_text(content, encoding="utf-8")
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
     assert main([command, flag, str(path)]) == 1
     assert capsys.readouterr().err.strip() == f"error: {path} {message}"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from groundplan.geometry import (
     FUSE_VOXEL,
@@ -161,6 +162,30 @@ def test_fuse_count_bounded_and_permutation_invariant(rng):
         order = rng.permutation(4)
         fused2 = fuse_views([views[i] for i in order])
         assert np.array_equal(fused, fused2)
+
+
+# Few distinct values, so rows tie on one, two or all three keys; both zeros,
+# infinities and subnormals among them.
+_key = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324, 2.2e-308,
+                        np.inf, -np.inf, 1e300])
+
+
+@settings(max_examples=500, deadline=None)
+@given(rows=st.one_of(
+    st.lists(st.tuples(_key, _key, _key), max_size=40),
+    # Long enough that numpy would sort them with a kind that is not stable.
+    hnp.arrays(np.float64, st.tuples(st.integers(200, 400), st.just(3)), elements=_key),
+    st.lists(st.tuples(*[st.floats(allow_nan=False)] * 3), max_size=40),
+))
+def test_canonical_order_is_the_lexsort_order(rows):
+    pts = np.array(rows, dtype=float).reshape(-1, 3)
+    ref = pts[np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))]
+    assert canonical_order(pts).tobytes() == ref.tobytes()
+
+
+def test_canonical_order_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        canonical_order(np.array([[0.0, 0.0, 0.0], [0.0, np.nan, 1.0]]))
 
 
 # -- categorize -------------------------------------------------------------------

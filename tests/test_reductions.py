@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from groundplan.geometry import sq_norms
-from groundplan.render import _EPS, _box_t, _slab_bounds
+from groundplan.render import _EPS, _box_t, _cylinder_t, _slab_bounds
 from groundplan.scene import yaw_matrix
 
 
@@ -32,6 +32,38 @@ def _reference_box_t(origin, dirs, center, half, yaw):
     t_near = np.minimum(t1, t2).max(axis=-1)
     t_far = np.maximum(t1, t2).min(axis=-1)
     hit = (t_far >= t_near) & (t_near > _EPS)
+    return np.where(hit, t_near, np.inf)
+
+
+def _reference_cylinder_t(origin, dirs, center, radius, height):
+    """`render._cylinder_t` as it was, allocating every temporary."""
+    o = origin - center
+    dx, dy, dz = dirs[..., 0], dirs[..., 1], dirs[..., 2]
+    a = dx * dx + dy * dy
+    b = 2.0 * (o[0] * dx + o[1] * dy)
+    c = o[0] * o[0] + o[1] * o[1] - radius * radius
+
+    a_safe = np.where(a < 1e-300, 1e-300, a)
+    disc = b * b - 4.0 * a * c
+    radial_ok = disc >= 0.0
+    sq = np.sqrt(np.where(radial_ok, disc, 0.0))
+    r0 = (-b - sq) / (2.0 * a_safe)
+    r1 = (-b + sq) / (2.0 * a_safe)
+    vertical = a < 1e-12
+    inside = c <= 0.0
+    r0 = np.where(vertical, np.where(inside, -np.inf, np.inf), r0)
+    r1 = np.where(vertical, np.where(inside, np.inf, -np.inf), r1)
+    radial_ok = radial_ok | (vertical & inside)
+
+    dz_safe = np.where(np.abs(dz) < 1e-300, 1e-300, dz)
+    z0 = (-height / 2.0 - o[2]) / dz_safe
+    z1 = (height / 2.0 - o[2]) / dz_safe
+    zlo = np.minimum(z0, z1)
+    zhi = np.maximum(z0, z1)
+
+    t_near = np.maximum(r0, zlo)
+    t_far = np.minimum(r1, zhi)
+    hit = radial_ok & (t_far >= t_near) & (t_near > _EPS)
     return np.where(hit, t_near, np.inf)
 
 
@@ -128,6 +160,49 @@ def test_box_t_grazing_hit_equals_the_reference(k, hx, hy, oz, scale, shape):
     t = _box_t(origin, dirs, center, half, 0.0)
     assert _same_bits(t, _reference_box_t(origin, dirs, center, half, 0.0))
     assert np.all(t == (k / 8.0) / scale)
+
+
+# -- cylinder intersection ------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    center=_vec,
+    radius=st.floats(0.01, 0.5),
+    height=st.floats(0.01, 1.0),
+    offset=st.one_of(_vec, st.tuples(*[st.floats(-0.99, 0.99)] * 3).map(np.array)),
+    inside=st.booleans(),
+    dirs=_xyz_arrays(_dir_value),
+)
+def test_cylinder_t_equals_the_reference(center, radius, height, offset, inside, dirs):
+    # With `inside`, the origin is within the cylinder's bounding box: offset
+    # is then a fraction of its half extents.
+    if inside:
+        offset = offset * np.array([radius, radius, height / 2.0])
+    origin = center + offset
+    before = dirs.copy()
+    t = _cylinder_t(origin, dirs, center, radius, height)
+    assert _same_bits(t, _reference_cylinder_t(origin, dirs, center, radius, height))
+    assert _same_bits(dirs, before)  # the rays are read, never written
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    r=st.floats(0.01, 0.5),
+    frac=st.sampled_from([0.0, 0.5, 0.999, 1.0, 1.001, 2.0]),
+    side=st.sampled_from([-1.0, 1.0]),
+    dz=st.sampled_from([1.0, -1.0, 0.5, 1e-301, 0.0, -0.0]),
+    tilt=st.sampled_from([0.0, -0.0, 1e-7, 1e-200, 5e-324]),
+    shape=st.sampled_from([(1, 3), (4, 3), (2, 3, 3)]),
+)
+def test_cylinder_t_rays_along_the_axis_equal_the_reference(r, frac, side, dz, tilt, shape):
+    # Rays parallel to the axis (or within 1e-12 of it in a), starting inside
+    # (frac < 1) or outside (frac > 1) the radius, above or below the cylinder.
+    center = np.array([0.1, -0.2, 0.05])
+    origin = center + np.array([frac * r, 0.0, side * 0.3])
+    dirs = np.broadcast_to(np.array([tilt, tilt, dz]), shape).copy()
+    assert _same_bits(_cylinder_t(origin, dirs, center, r, 0.1),
+                      _reference_cylinder_t(origin, dirs, center, r, 0.1))
 
 
 # -- sums and norms of rows -----------------------------------------------------------

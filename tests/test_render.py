@@ -10,6 +10,8 @@ look_at, which computed it on every call.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from groundplan.scene import (
     WRIST_OFFSET,
     View,
     look_at,
+    yaw_matrix,
 )
 from tests.conftest import small_camera
 
@@ -198,27 +201,39 @@ _frame_side = st.integers(8, 72)
 _eye = st.one_of(
     st.tuples(st.floats(-0.9, 0.9), st.floats(-0.9, 0.9), st.floats(0.2, 0.9)),
     st.floats(0.1, 0.8).map(lambda z: (0.0, 0.0, z + 0.05)),  # straight down, as the wrist
+    # Level with the target and along a world axis: a box at the frame's
+    # centre row with yaw a quarter turn is seen edge-on.
+    st.sampled_from([(0.6, 0.0, 0.05), (0.0, -0.6, 0.05)]),
 )
-# Camera depth: in front of the camera or behind it.
-_depth = st.one_of(st.floats(0.15, 1.5), st.floats(-0.3, -0.05))
+# Camera depth: in front of the camera, behind it, or straddling it (a corner behind).
+_depth = st.one_of(st.floats(0.15, 1.5), st.floats(-0.3, -0.05), st.floats(-0.06, 0.06))
+# Thin plates: edge-on from a level camera, and within reach of the camera
+# with every corner in front of it.
+_thin = st.sampled_from([0.0005, 0.002])
+_plate = st.builds(Box, half_extents=st.one_of(
+    st.tuples(_size, _size, _thin), st.tuples(_thin, _size, _size)).map(np.array))
+_quarter = st.sampled_from([0.0, -0.0, math.pi / 2, math.pi, -math.pi / 2])
+# Frame fractions: anywhere, or on the frame's border and centre row.
+_frac = st.one_of(st.floats(-0.3, 1.3), st.sampled_from([0.0, 0.5, 1.0]))
 _placement = st.tuples(
-    st.one_of(_shape, _drawer),
-    st.floats(-0.3, 1.3), st.floats(-0.3, 1.3), _depth, st.floats(-3.1, 3.1),
+    st.one_of(_shape, _drawer, _plate),
+    _frac, _frac, _depth, st.one_of(st.floats(-3.1, 3.1), _quarter),
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     height=_frame_side, width=_frame_side, eye=_eye,
-    f=st.floats(0.4, 2.0), offset=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    f=st.floats(0.4, 2.0),
+    offset=st.one_of(st.just((0.0, 0.0)), st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))),
     placements=st.lists(_placement, min_size=1, max_size=5),
-    near=st.booleans(),
+    near=st.sampled_from([None, 0.005, 0.02]),
 )
 def test_row_band_render_equals_the_full_frame_reference(height, width, eye, f, offset,
                                                          placements, near):
     cam = _band_camera(height, width, eye, f=f, offset=offset)
-    if near:  # the camera inside the last object's bounding sphere: a full-frame rectangle
-        placements[-1] = placements[-1][:3] + (0.005,) + placements[-1][4:]
+    if near:  # the camera inside the last object's bounding sphere
+        placements[-1] = placements[-1][:3] + (near,) + placements[-1][4:]
     scene = _placed_scene(cam, placements)
     _assert_same_bits(render_camera(scene, cam), _reference_render_camera(scene, cam))
 
@@ -255,6 +270,73 @@ def test_row_band_edge_cases(case, height, width):
     if case in ("none-visible", "empty"):
         assert not hit.any()
         assert view.depth.tobytes() == np.zeros((height, width), np.float32).tobytes()
+
+
+def _windows(scene, cam):
+    """Each solid's (corner window, bounding-sphere rectangle), as render_camera finds them."""
+    pose = (cam.rotation.tolist(), cam.translation.tolist())
+    return [(render._window(cam, pose, corners, sphere), render.pixel_rect(cam, *sphere))
+            for _, _, corners, sphere in render._prepared(render._primitives(scene))]
+
+
+@pytest.mark.parametrize("case", ["edge-on", "inside-bounding-sphere", "corner-behind",
+                                  "left-border", "bottom-border"])
+def test_corner_windows(case):
+    level, down = (0.6, 0.0, 0.05), (0.0, 0.0, 0.45)
+    eye, shape, u, v, z = {
+        # A plate level with the camera: its faces are seen edge-on, as one row.
+        "edge-on": (level, Box(half_extents=np.array([0.03, 0.03, 0.0005])), 0.5, 0.5, 0.4),
+        # Every corner in front, the camera inside the bounding sphere.
+        "inside-bounding-sphere": (down, Box(half_extents=np.array([0.005, 0.05, 0.0005])),
+                                   0.5, 0.5, 0.03),
+        # A beam along the view axis, through the camera plane, beside the camera.
+        "corner-behind": (level, Box(half_extents=np.array([0.05, 0.005, 0.005])), 0.5, 1.0, 0.03),
+        "left-border": (level, Cylinder(radius=0.02, height=0.05), 0.0, 0.4, 0.5),
+        "bottom-border": (down, Box(half_extents=np.array([0.02, 0.01, 0.01])), 0.3, 1.0, 0.3),
+    }[case]
+    cam = _band_camera(40, 64, eye)
+    scene = _placed_scene(cam, [(shape, u, v, z, 0.0)])
+    view = render_camera(scene, cam)
+    _assert_same_bits(view, _reference_render_camera(scene, cam))
+    (window, sphere_rect), = _windows(scene, cam)
+    rows, cols = np.nonzero(view.ids)
+    assert len(rows)
+    u0, u1, v0, v1 = window
+    assert u0 <= cols.min() and cols.max() < u1 and v0 <= rows.min() and rows.max() < v1
+    if case == "edge-on":  # the centre row, and the margins around it
+        assert set(rows.tolist()) == {20} and v1 - v0 == 5
+    if case == "inside-bounding-sphere":
+        assert sphere_rect == (0, 64, 0, 40) and (u1 - u0) * (v1 - v0) < 64 * 40 / 2
+    if case == "corner-behind":  # a corner behind is within the sphere: the whole frame
+        assert window == sphere_rect == (0, 64, 0, 40)
+    if case == "left-border":
+        assert u0 == 0 and cols.min() == 0
+    if case == "bottom-border":
+        assert v1 == 40 and rows.max() == 39
+
+
+# -- windows of a band product ------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    height=st.integers(1, 12), width=st.integers(2, 300), eye=_eye, yaw=st.floats(-3.2, 3.2),
+    cut=st.tuples(*[st.floats(0.0, 1.0)] * 4),
+)
+def test_a_window_product_equals_the_window_of_the_band_product(height, width, eye, yaw, cut):
+    # The box test multiplies its window of the band by rot.T; the window's
+    # bytes must not depend on its size or position in the band. numpy takes
+    # a (1, 3) @ (3, 3) row product through another BLAS call, with other
+    # roundings, so windows are at least 2 wide here. A window is 1 wide only
+    # when clipped to the frame's first or last column, which lies in its
+    # margin and so holds no hit.
+    cam = _band_camera(height, width, eye)
+    band = render._camera_dirs(cam) @ cam.rotation
+    rot = yaw_matrix(-yaw)
+    v0, v1 = sorted(int(c * (height - 1)) for c in cut[:2])
+    u0, u1 = sorted(int(c * (width - 2)) for c in cut[2:])  # u0 + 2 <= width
+    window = band[v0:v1 + 1, u0:u1 + 2]
+    assert (window @ rot.T).tobytes() == (band @ rot.T)[v0:v1 + 1, u0:u1 + 2].tobytes()
 
 
 # -- wrist pose --------------------------------------------------------------------
