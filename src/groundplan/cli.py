@@ -9,6 +9,7 @@ explicit flag wins over the config file, which wins over the default.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .evaluate import eval_offline, eval_online, render_report, result_from_json
@@ -120,6 +121,8 @@ def cmd_gen_data(args, s: dict) -> int:
         "refexp": gen_refexp_dataset,
         "long": gen_long_dataset,
     }[args.kind]
+    if s["episodes"] < 1:  # the library writes an empty dataset; offline scoring refuses one
+        raise ValueError(f"episodes must be >= 1, got {s['episodes']}")
     manifest = gen(
         _suite_from(s),
         episodes_per_variation=s["episodes"],
@@ -136,10 +139,13 @@ def cmd_gen_data(args, s: dict) -> int:
 
 
 def cmd_eval_offline(args, s: dict) -> int:
-    from .datasets import read_dataset
+    from .datasets import DatasetReadError, read_dataset
 
     cfg = _corruption_from(s)
     manifest, records = read_dataset(args.data)
+    if not records:
+        raise DatasetReadError(os.path.join(args.data, "manifest.json"), 0,
+                               "the dataset has no records to score")
     if manifest.kind not in ("plan", "long"):
         raise ValueError(f"{args.data}: eval-offline scores plan or long datasets, "
                          f"not {manifest.kind!r}")

@@ -91,18 +91,19 @@ def _robot_pixels(view, cam, gripper: GripperState) -> tuple[np.ndarray, np.ndar
     if rect is not None:
         u0, u1, v0, v1 = rect
         z = (cam.rotation @ gp + cam.translation)[2]
-        depth = view.depth[v0:v1, u0:u1]
-        near = ((view.ids[v0:v1, u0:u1] != 0) & (depth > 0)
-                & (depth >= z - _ROBOT_BOUND) & (depth <= z + _ROBOT_BOUND))
-    if not held:  # nothing held (id 0 is background, never a scene point): the window alone
-        if rect is None:
-            return _NO_PIXELS
+        ids, win = view.ids[v0:v1, u0:u1], view.depth[v0:v1, u0:u1]
+        near = (ids != 0) & (win > 0) & (win >= z - _ROBOT_BOUND) & (win <= z + _ROBOT_BOUND)
+        if held:
+            near &= ids != held  # the held object's pixels are all taken below
         vs, us = pixel_indices(near)
-        return vs + v0, us + u0
-    mask = (view.ids == held) & (view.depth > 0)
-    if rect is not None:
-        mask[v0:v1, u0:u1] |= near
-    return pixel_indices(mask)
+        vs, us = vs + v0, us + u0
+    if not held:  # nothing held (id 0 is background, never a scene point): the window alone
+        return _NO_PIXELS if rect is None else (vs, us)
+    valid, width = view.valid_pixels(), view.depth.shape[1]
+    pixels = valid[view.ids.ravel()[valid] == held]
+    if rect is not None:  # two disjoint row-major runs, which a stable sort merges
+        pixels = np.sort(np.concatenate([pixels, vs * width + us]), kind="stable")
+    return np.divmod(pixels, width)
 
 
 def ground_plan(
@@ -122,7 +123,7 @@ def ground_plan(
     reference_clouds: dict[str, np.ndarray] = {}
     for slot, ref in plan.references():
         per_view = [
-            unproject(view.depth, mask, cam)
+            unproject(view.depth, mask, cam, view.valid_pixels())
             for view, mask, cam in zip(views, ref.masks, rig.cameras)
         ]
         cloud = fuse_views(per_view)

@@ -14,10 +14,14 @@ integer cell triple, offset by its per-axis minimum and packed in mixed
 radix. DBSCAN finds neighbours on a grid of cells with an edge of at least
 eps (Gunawan 2013; Gan & Tao 2015): points are sorted by cell key, and a
 point is tested only against the points of the 27 cells around its own,
-each pair of adjacent cells once. The expected cost is O(N) for clouds of
+read from one gather of the points, in cell order, into three contiguous
+columns. Pairs within a cell are enumerated in both orders, pairs across
+adjacent cells once, and a near pair across cells counts for both points,
+so no candidate is gathered twice. The expected cost is O(N) for clouds of
 bounded density, against the O(N^2) time and memory of an all-pairs
 distance matrix, and each candidate pair is decided by the same float
-expression as the all-pairs test, so results are bit-identical.
+expression as the all-pairs test, (dx^2 + dy^2) + dz^2 <= eps^2, so
+results are bit-identical.
 
 Sums and norms over x, y, z are written out as elementwise adds in the
 order numpy's reductions add them, ((x + y) + z), because the reduction
@@ -99,17 +103,23 @@ class LabeledPointCloud:
         return counts
 
 
-def unproject(depth: np.ndarray, mask: np.ndarray, camera: CameraModel) -> np.ndarray:
-    """World points for every masked pixel with positive depth.
+def unproject(
+    depth: np.ndarray, mask: np.ndarray, camera: CameraModel, valid: np.ndarray | None = None
+) -> np.ndarray:
+    """World points for every masked pixel with positive depth, in row-major order.
 
     Pixel (u, v) at depth d maps to the camera-frame point
-    (d*(u-cx)/fx, d*(v-cy)/fy, d), then through the inverse extrinsic.
+    (d*(u-cx)/fx, d*(v-cy)/fy, d), then through the inverse extrinsic. Given
+    `valid` (`View.valid_pixels`), the mask is read at those pixels alone.
     """
     depth = np.asarray(depth)
     mask = np.asarray(mask, dtype=bool)
     if depth.shape != mask.shape:
         raise ValueError(f"depth {depth.shape} and mask {mask.shape} differ")
-    vs, us = pixel_indices(mask & (depth > 0))
+    if valid is None:
+        vs, us = pixel_indices(mask & (depth > 0))
+    else:
+        vs, us = np.divmod(valid[mask.ravel()[valid]], mask.shape[1])
     return unproject_pixels(depth, vs, us, camera)
 
 
@@ -216,9 +226,11 @@ def _runs(first: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def _eps_neighbours(
     pts: np.ndarray, params: DbscanParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(i, j, core): every ordered pair within eps, self pairs included, and
-    the core mask; min_pts counts the point itself. Points must be finite.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
+    """(order, i, j, same, core) for finite points; `order` sorts them by cell,
+    and i, j and core index that order. (i[k], j[k]) are the pairs within eps:
+    for k < same, each ordered pair within one cell, self pairs included; then
+    each pair across cells once. `core` counts the point itself in min_pts.
     """
     n = len(pts)
     # Cells wider than eps by more than the rounding of pts / size, so two
@@ -229,43 +241,57 @@ def _eps_neighbours(
     keys, radix = _pack_cells(np.floor(pts / size), size, pad=1)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-    counts = np.diff(np.r_[starts, n])
+    starts = np.flatnonzero(np.diff(sorted_keys, prepend=-1))  # keys are >= 0
+    counts = np.diff(starts, append=n)
     cells = sorted_keys[starts]
-    # Key steps to a cell itself and to the 13 of its neighbours that sort
-    # after it; every other pair of adjacent cells is met from its lower cell.
+    # Key steps to the 13 neighbours of a cell that sort after it; every other
+    # pair of adjacent cells is met from its lower cell.
     steps = np.array([(dx * radix[1] + dy) * radix[2] + dz
                       for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)])
-    steps = steps[steps >= 0]
+    steps = steps[steps > 0]
     targets = (cells[:, None] + steps).ravel()
     found = np.minimum(np.searchsorted(cells, targets), len(cells) - 1)
     hit = cells[found] == targets
-    a, b = np.repeat(np.arange(len(cells)), len(steps))[hit], found[hit]
-    # Candidates: every point of cell a against every point of cell b.
+    # Candidates: every point of cell a against every point of cell b, for
+    # each cell with itself first, then for each pair of adjacent cells.
+    own = np.arange(len(cells))
+    a = np.concatenate([own, np.repeat(own, len(steps))[hit]])
+    b = np.concatenate([own, found[hit]])
     row, p = _runs(starts[a], counts[a])
     col, q = _runs(starts[b[row]], counts[b[row]])
-    i, j = order[p[col]], order[q]
-    near = sq_norms(pts[i] - pts[j]) <= params.eps**2
-    # A pair from two different cells was met in one order only.
-    mirror = near & (a != b)[row[col]]
-    i, j = np.concatenate([i[near], j[mirror]]), np.concatenate([j[near], i[mirror]])
-    return i, j, np.bincount(i, minlength=n) >= params.min_pts
+    p = p[col]
+    x, y, z = np.ascontiguousarray(pts[order].T)
+    dx, dy, dz = x[p] - x[q], y[p] - y[q], z[p] - z[q]
+    near = (dx * dx + dy * dy) + dz * dz <= params.eps**2
+    same = int(np.count_nonzero(near[:(counts * counts).sum()]))
+    i, j = p[near], q[near]
+    degree = np.bincount(i, minlength=n) + np.bincount(j[same:], minlength=n)
+    return order, i, j, same, degree >= params.min_pts
 
 
 def dbscan_filter(points: np.ndarray, params: DbscanParams = DbscanParams()) -> np.ndarray:
     """Drop DBSCAN noise points; all clusters survive.
 
     min_pts counts the point itself. Points are canonically sorted before
-    clustering, so output is deterministic and filtering is idempotent.
+    clustering, so output is deterministic and filtering is idempotent. Rows
+    each lexicographically at most the next, as fuse_views gives, are in that
+    order already (the sort is stable), so they are not sorted again.
     """
-    pts = canonical_order(points)
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    (x, y, z), (x1, y1, z1) = pts[:-1].T, pts[1:].T
+    ordered = (x < x1) | ((x == x1) & ((y < y1) | ((y == y1) & (z <= z1))))
+    if np.isnan(pts).any() or not ordered.all():
+        pts = canonical_order(pts)  # which rejects NaN
     if len(pts) == 0:
-        return pts
-    i, j, core = _eps_neighbours(pts, params)
+        return np.empty((0, 3))
+    order, i, j, same, core = _eps_neighbours(pts, params)
     # A point is kept iff it is a core point or within eps of one.
     keep = core.copy()
     keep[i[core[j]]] = True
-    return pts[keep]
+    keep[j[same:][core[i[same:]]]] = True
+    kept = np.empty(len(pts), dtype=bool)
+    kept[order] = keep
+    return pts[kept]
 
 
 def categorize(

@@ -352,6 +352,13 @@ class MaskNoisePlanner:
     gains an equal expected number of spurious pixels scattered over the
     view's valid-depth pixels (segmentation spill onto other surfaces).
     Empty masks stay empty.
+
+    Spurious pixels are drawn by inverse-CDF sampling, as
+    ``Generator.choice(candidates, p=w)`` does: k uniforms looked up in the
+    float64 CDF of the normalised weights, with choice's picks and generator
+    state. A view's CDF is built once, shared by every reference, and kept,
+    like the render memo keeps views, while its camera's view is the same
+    read-only object.
     """
 
     def __init__(self, base: Planner, noise: float, episode_seed: int = 0, seed: int = 0):
@@ -363,33 +370,47 @@ class MaskNoisePlanner:
         self.rng = np.random.default_rng(
             np.random.SeedSequence([seed & (2**64 - 1), episode_seed & (2**64 - 1), 1451])
         )
+        self._cdfs: dict[int, tuple] = {}  # camera index -> (view, CDF)
 
-    def _speckle(self, mask: np.ndarray, view) -> np.ndarray:
-        area = int(np.count_nonzero(mask))
-        if area == 0 or self.noise == 0.0:
+    def _cdf(self, i: int, view, candidates: np.ndarray) -> np.ndarray:
+        kept = self._cdfs.get(i)
+        if kept is not None and kept[0] is view:
+            return kept[1]
+        # Weight by the surface area a pixel covers (~depth^2) so spurious
+        # pixels scatter uniformly over scene surfaces instead of piling onto
+        # foreshortened nearby objects. choice casts p to float64 before its
+        # cumsum, and so does this: a float32 CDF would pick other pixels.
+        w = view.depth.ravel()[candidates] ** 2
+        w = w / w.sum()
+        cdf = np.cumsum(w, dtype=np.float64)
+        if not np.isfinite(cdf[-1]):
+            raise ValueError("speckle weights must have a finite, positive total")
+        cdf /= cdf[-1]
+        self._cdfs[i] = (view, cdf)
+        return cdf
+
+    def _speckle(self, mask: np.ndarray, view, i: int) -> np.ndarray:
+        on = np.flatnonzero(mask)
+        if len(on) == 0 or self.noise == 0.0:
             return mask
         out = np.asarray(mask, dtype=bool).copy()
         flat = out.ravel()
-        on = np.flatnonzero(flat)
         flat[on[self.rng.random(len(on)) < self.noise]] = False
-        depth = np.asarray(view.depth).ravel()
-        candidates = np.flatnonzero(depth > 0)
+        candidates = view.valid_pixels()
         if len(candidates):
-            k = int(self.rng.binomial(area, self.noise))
+            k = int(self.rng.binomial(len(on), self.noise))
             if k:
-                # Weight by the surface area a pixel covers (~depth^2) so
-                # spurious pixels scatter uniformly over scene surfaces
-                # instead of piling onto foreshortened nearby objects.
-                w = depth[candidates] ** 2
-                w = w / w.sum()
-                picks = self.rng.choice(candidates, size=k, p=w)
-                flat[picks] = True
+                cdf = self._cdf(i, view, candidates)
+                flat[candidates[cdf.searchsorted(self.rng.random(k), side="right")]] = True
         return out
 
     def plan(self, instruction, views, history, inventory) -> PlannerOutput:
         text, stacks = self.base.plan(instruction, views, history, inventory)
+        # Only this call's views; a writable frame may have changed since.
+        self._cdfs = {i: kept for i, kept in self._cdfs.items() if i < len(views)
+                      and kept[0] is views[i] and not views[i].depth.flags.writeable}
         noisy = [
-            [self._speckle(m, v) for m, v in zip(stack, views)]
+            [self._speckle(m, v, i) for i, (m, v) in enumerate(zip(stack, views))]
             for stack in stacks
         ]
         return text, noisy

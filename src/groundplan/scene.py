@@ -394,13 +394,23 @@ class View:
     def mask_for(self, oid: int) -> np.ndarray:
         return self.ids == oid
 
+    def valid_pixels(self) -> np.ndarray:
+        """Row-major flat int32 indices of the pixels with positive depth, from the
+        one whole-frame scan of the depth map; kept when the frame is read-only,
+        as rendered and read frames are."""
+        valid = self.__dict__.get("_valid_pixels")
+        if valid is None:
+            valid = np.flatnonzero(self.depth.ravel() > 0).astype(np.int32)
+            if not self.depth.flags.writeable:
+                self._valid_pixels = valid
+        return valid
+
     def scene_pixels(self) -> int:
         """The pixels with an object id and positive depth: one scene point each.
-        Rendered and read frames are read-only, so their count is kept, and a view
-        reused across planner calls is counted once."""
+        Kept, like `valid_pixels`, when both frames are read-only."""
         count = self.__dict__.get("_scene_pixels")
         if count is None:
-            count = int(np.count_nonzero((self.ids != 0) & (self.depth > 0)))
+            count = int(np.count_nonzero(self.ids.ravel()[self.valid_pixels()]))
             if not (self.depth.flags.writeable or self.ids.flags.writeable):
                 self._scene_pixels = count
         return count

@@ -87,8 +87,9 @@ def rotate_held(dyaw: float) -> MotionStep:
 # -- scene sampling -----------------------------------------------------------
 
 
-def _place(rng, obj: SceneObject, placed: list[SceneObject], z: float,
+def _place(rng, obj: SceneObject, placed: list[tuple[np.ndarray, float]], z: float,
            task: TaskScript, seed: int) -> None:
+    """Place obj clear of `placed`, then add its (position, bounding radius)."""
     r = obj.bounding_radius()
     xlo, xhi = WORKSPACE_X
     ylo, yhi = WORKSPACE_Y
@@ -97,11 +98,11 @@ def _place(rng, obj: SceneObject, placed: list[SceneObject], z: float,
         y = rng.uniform(ylo + r, yhi - r) if yhi - r > ylo + r else (ylo + yhi) / 2
         obj.position = np.array([x, y, z])
         ok = all(
-            np.linalg.norm(obj.position - other.position)
-            >= r + other.bounding_radius()
-            for other in placed
+            np.linalg.norm(obj.position - position) >= r + radius
+            for position, radius in placed
         )
         if ok:
+            placed.append((obj.position, obj.bounding_radius()))
             return
     raise PlacementError(
         f"unsatisfiable layout for task {task.key} seed {seed} "
@@ -142,8 +143,9 @@ def sample_scene(task: TaskScript, seed: int) -> Scene:
     # Large objects first: rejection sampling then always finds room for the
     # small ones.
     objects: list[SceneObject] = []
+    placed: list[tuple[np.ndarray, float]] = []
     for obj, z in sorted(role_objects, key=lambda t: (-t[0].bounding_radius(), t[0].id)):
-        _place(rng, obj, objects, z, task, seed)
+        _place(rng, obj, placed, z, task, seed)
         objects.append(obj)
     objects.sort(key=lambda o: o.id)
 
@@ -173,7 +175,7 @@ def sample_scene(task: TaskScript, seed: int) -> Scene:
             graspable=True,
             color_varies=True,
         )
-        _place(rng, obj, objects, obj.rest_z(), task, seed)
+        _place(rng, obj, placed, obj.rest_z(), task, seed)
         objects.append(obj)
 
     return Scene(objects=objects, roles=roles)

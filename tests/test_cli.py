@@ -285,6 +285,30 @@ def test_run_online_needs_an_episode_and_a_run(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["plan", "refexp", "long"])
+def test_gen_data_needs_an_episode(tmp_path, capsys, kind):
+    out = tmp_path / "ds"
+    rc = main(["gen-data", "--kind", kind, "--episodes", "0", "--resolution", "96",
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == "error: episodes must be >= 1, got 0"
+    assert not out.exists()
+
+
+def test_eval_offline_refuses_a_dataset_without_records(tmp_path, capsys):
+    data = tmp_path / "ds"
+    data.mkdir()
+    manifest = {"kind": "plan", "suite_hash": "0", "seed": 0, "episodes_per_variation": 1,
+                "counts": {}, "total_records": 0, "total_episodes": 0,
+                "mean_keysteps_per_episode": 0.0, "files": []}
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["eval-offline", "--data", str(data), "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip() == (
+        f"error: {data / 'manifest.json'} @ byte 0: the dataset has no records to score")
+    assert captured.out == ""
+
+
 def test_json_report_refuses_nan():
     result = OnlineResult(variations={"t+0": VariationResult(runs=[float("nan")])})
     with pytest.raises(ValueError, match="JSON compliant"):

@@ -352,8 +352,13 @@ def _unique_rows_fuse(point_lists, voxel=FUSE_VOXEL):
 
 def _assert_dbscan_matches_dense(pts, params):
     assert np.array_equal(dbscan_filter(pts, params), _dense_dbscan_filter(pts, params))
-    # The grid step yields each ordered within-eps pair exactly once.
-    i, j, core = _eps_neighbours(pts, params)
+    # The grid step yields each ordered within-eps pair exactly once: a pair
+    # within one cell in each order, a pair across cells once, read both ways.
+    order, si, sj, same, sorted_core = _eps_neighbours(pts, params)
+    i = order[np.concatenate([si, sj[same:]])]
+    j = order[np.concatenate([sj, si[same:]])]
+    core = np.empty_like(sorted_core)
+    core[order] = sorted_core
     adj, dense_core = _dense_eps_neighbours(pts, params)
     dense_i, dense_j = np.nonzero(adj)
     assert sorted(zip(i.tolist(), j.tolist())) == list(zip(dense_i.tolist(), dense_j.tolist()))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -86,6 +87,21 @@ def test_sampled_scenes_non_overlapping(suite):
             for b in scene.objects[i + 1:]:
                 dist = float(np.linalg.norm(a.position - b.position))
                 assert dist >= a.bounding_radius() + b.bounding_radius() - 1e-12
+
+
+# sha256 of scene_key over the builtin suite x seeds 0-199, recorded before each
+# placed object's bounding radius was kept. Bounding radii go through a 3x3
+# matrix-vector product, so the digest holds for one BLAS kernel family: it was
+# recorded with OpenBLAS's SkylakeX kernels.
+GOLDEN_SAMPLING_DIGEST = "a508c5b3d003a4cbee80197da8cab5e195f09b38d920945a60ac4b0c6eb12db0"
+
+
+def test_sampled_scenes_match_golden_digest(suite):
+    h = hashlib.sha256()
+    for task in suite:
+        for seed in range(200):
+            h.update(repr(scene_key(sample_scene(task, seed))).encode())
+    assert h.hexdigest() == GOLDEN_SAMPLING_DIGEST
 
 
 def test_sample_scene_distractor_budget(suite):

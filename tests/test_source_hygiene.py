@@ -9,6 +9,12 @@ re-export, so they are not checked.
 Only `jsonfile` decides JSON kinds: no other module has a table keyed by
 JSON types, an `_is_<kind>` helper, or an inline `type(...) is int` or
 `isinstance(..., str)` test of a JSON type.
+
+Only `View` scans a whole depth frame for valid pixels: `View.valid_pixels`
+keeps the scan of a read-only frame, so every other reader takes its index
+instead of a `depth > 0` pass of its own. A window of a frame (a subscript)
+may be tested anywhere. `geometry.unproject` keeps its own scan as the
+reference for a bare frame, and uses the index when it is given one.
 """
 
 from __future__ import annotations
@@ -97,3 +103,65 @@ def test_a_json_kind_check_is_reported():
     assert json_kind_checks(source) == [
         "1: a table keyed by JSON types", "3: _is_str_list()", "4: a type() test",
         "5: an isinstance() test"]
+
+
+def _whole_depth_frame(node) -> bool:
+    """`depth` or `<x>.depth`, as is or through `.ravel()`, `.reshape(...)` or
+    `np.asarray(...)`; a subscript is a window, not a whole frame."""
+    while isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        if node.func.attr in ("ravel", "reshape", "flatten"):
+            node = node.func.value
+        elif node.func.attr in ("asarray", "array") and node.args:
+            node = node.args[0]
+        else:
+            return False
+    return ((isinstance(node, ast.Name) and node.id == "depth")
+            or (isinstance(node, ast.Attribute) and node.attr == "depth"))
+
+
+def depth_scans(source: str) -> list[str]:
+    """Each whole-frame `depth > 0` test, as '<line>: <class>.<function>'."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + [child.name]
+            elif (isinstance(child, ast.Compare) and len(child.ops) == 1
+                  and isinstance(child.ops[0], ast.Gt)
+                  and isinstance(child.comparators[0], ast.Constant)
+                  and child.comparators[0].value == 0 and _whole_depth_frame(child.left)):
+                found.append(f"{child.lineno}: {'.'.join(scope)}")
+            visit(child, inner)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+# (module, scope) of the scans the rule allows, with their reasons above.
+DEPTH_SCAN_OWNERS = {("scene.py", "View.valid_pixels"), ("geometry.py", "unproject")}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_view_scans_a_whole_depth_frame(path):
+    scans = depth_scans(path.read_text())
+    assert [s for s in scans if (path.name, s.split(": ")[1]) not in DEPTH_SCAN_OWNERS] == []
+
+
+def test_the_valid_pixel_scan_has_its_owners():
+    owners = {(p.name, s.split(": ")[1]) for p in MODULES for s in depth_scans(p.read_text())}
+    assert owners == DEPTH_SCAN_OWNERS
+
+
+def test_a_whole_depth_frame_scan_is_reported():
+    source = ("def f(view, depth):\n"
+              "    a = np.flatnonzero(view.depth > 0)\n"
+              "    b = depth > 0\n"
+              "    c = np.asarray(view.depth).ravel() > 0\n"
+              "    d = view.depth[0:4, 2:5] > 0\n"
+              "    e = view.ids > 0\n"
+              "class V:\n"
+              "    def g(self):\n"
+              "        return self.depth.reshape(-1) > 0, self.depth > 1\n")
+    assert depth_scans(source) == ["2: f", "3: f", "4: f", "9: V.g"]
