@@ -3,8 +3,16 @@
 One episode alternates: render views, ask the planner for the next plan,
 parse it, ground its references into a labeled point cloud, let the motion
 policy decompose the plan into low-level steps, and execute up to `chunk`
-of them before replanning. Parse failures retry up to three times before
-the episode terminates. Everything is recorded on an EpisodeTrace.
+of them before replanning. Everything is recorded on an EpisodeTrace.
+
+The exit rule: the success check runs before the first plan and after each
+executed motion, and nowhere else. It ends the episode as "success" when the
+task holds, or as "failure" when the task's predicate raises PredicateError.
+A planner call whose text does not parse, or whose plan grounds no target
+points, is retried, up to PARSE_RETRIES calls per plan; when all fail, the
+last one's kind ends the episode, "parse-failure-exhausted" or "failure".
+Each plan's motion is cut once, to the chunk and to what is left of the
+MAX_STEPS budget, and an episode that spends the budget ends as "failure".
 """
 
 from __future__ import annotations
@@ -324,6 +332,15 @@ def _plan_signature(plan: GroundedPlan) -> tuple:
     )
 
 
+def _finished(sim: Simulation) -> str | None:
+    """The exit rule's one success check: "success" if the task holds, "failure"
+    if its predicate cannot be evaluated, else None (the episode goes on)."""
+    try:
+        return "success" if sim.success() else None
+    except PredicateError:
+        return "failure"
+
+
 def run_episode(
     task: TaskScript,
     seed: int,
@@ -345,28 +362,18 @@ def run_episode(
     rig = default_rig() if rig is None else rig
     sim = Simulation.sample(task, seed)
     planner = planner_factory(EpisodeContext(sim=sim, task=task, seed=seed))
-    trace = EpisodeTrace(
-        task_key=task.key,
-        group=task.group,
-        instruction=task.instruction,
-        seed=seed,
-        chunk=chunk,
-        inventory=sim.inventory(),
-    )
+    trace = EpisodeTrace(task_key=task.key, group=task.group, instruction=task.instruction,
+                         seed=seed, chunk=chunk, inventory=sim.inventory())
     history = trace.history
     last_executed: tuple | None = None
     memo: dict = {}  # each camera's last view; render_views reuses it while unchanged
-    try:
-        terminal = "success" if sim.success() else None
-    except PredicateError:
-        terminal = "failure"
-
+    terminal = _finished(sim)
     while terminal is None and trace.motion_steps < MAX_STEPS:
         posed_rig = rig.posed(sim.gripper.position)
         views = render_views(sim.scene, posed_rig, memo)
         history_before = tuple(history)
-        plan = None
-        cloud_counts: dict[str, int] = {}
+        plan, cloud_counts = None, {}
+        # Each attempt that fails leaves its kind in `terminal`, so the last one decides.
         for _ in range(PARSE_RETRIES):
             raw_text, stacks = planner.plan(
                 task.instruction, views, list(history), trace.inventory
@@ -375,55 +382,37 @@ def run_episode(
             try:
                 plan = parse_plan(raw_text, stacks)
             except PlanParseError as e:
-                error, failure = f"{type(e).__name__}: {e}", "parse-failure-exhausted"
+                error, terminal = f"{type(e).__name__}: {e}", "parse-failure-exhausted"
                 continue
             cloud = ground_plan(plan, views, posed_rig, sim.gripper, grounding)
             try:
                 steps = motion_policy(plan, cloud, sim.gripper)
             except NoTargetPointsError as e:
-                error, failure, plan = f"NoTargetPoints: {e}", "failure", None
+                error, terminal, plan = f"NoTargetPoints: {e}", "failure", None
                 continue
-            error, cloud_counts = None, cloud.counts()
+            error, terminal, cloud_counts = None, None, cloud.counts()
             break
 
-        keystep = False
-        executed: list[MotionStep] = []
-        if plan is None:
-            terminal = failure
-        else:
-            # The loop guard leaves budget for this plan's first motion, so
-            # the plan always executes and enters the history here.
+        keystep, executed = False, []
+        if terminal is None:
+            # The loop guard leaves budget for one motion, so the plan always
+            # executes (an empty one as a no-op, never spinning) and enters the history.
             signature = _plan_signature(plan)
-            keystep = signature != last_executed
-            last_executed = signature
+            keystep, last_executed = signature != last_executed, signature
             history.append(history_text(plan))
-            if not steps:
-                steps = [translate(0.0, 0.0, 0.0)]  # consume budget; never spin
-            for motion in steps[:chunk]:
-                if trace.motion_steps >= MAX_STEPS:
-                    break
+            budget = min(chunk, MAX_STEPS - trace.motion_steps)
+            for motion in (steps or [translate(0.0, 0.0, 0.0)])[:budget]:
                 sim.step(motion)
                 trace.motion_steps += 1
                 executed.append(motion)
-                try:
-                    if sim.success():
-                        terminal = "success"
-                        break
-                except PredicateError:
-                    terminal = "failure"  # broken predicate counts as episode failure
+                if terminal := _finished(sim):
                     break
 
         keep_views = store_views and keystep
         trace.steps.append(TraceStep(
-            index=len(trace.steps),
-            keystep=keystep,
-            raw_text=raw_text,
-            error=error,
-            plan=plan,
-            cloud_counts=cloud_counts,
-            motion=executed,
-            gripper_position=tuple(sim.gripper.position),
-            gripper_held=sim.gripper.held,
+            index=len(trace.steps), keystep=keystep, raw_text=raw_text, error=error, plan=plan,
+            cloud_counts=cloud_counts, motion=executed,
+            gripper_position=tuple(sim.gripper.position), gripper_held=sim.gripper.held,
             history_before=history_before,
             views=views if keep_views else None,
             cameras=list(posed_rig.cameras) if keep_views else None,

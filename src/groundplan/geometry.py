@@ -147,17 +147,22 @@ def unproject_pixels(
 def canonical_order(points: np.ndarray) -> np.ndarray:
     """Rows sorted by x, then y, then z, ties in input order: np.lexsort's order.
 
-    Two stable passes: z, then (x, y) as one complex key, which numpy orders
-    by real part, then imaginary part. A NaN would order differently from
-    np.lexsort, so NaN is a ValueError.
+    One stable sort on (x, y) as one complex key, which numpy orders by real
+    part, then imaginary part; it is near-linear on rows already in order.
+    Only when two rows tie in (x, y) does a stable pass on z go first. A NaN
+    would order differently from np.lexsort, so NaN is a ValueError.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if np.isnan(pts).any():
         raise ValueError("canonical_order: points must not be NaN")
-    order = np.argsort(pts[:, 2], kind="stable")
-    xy = np.empty(len(order), dtype=complex)
-    xy.real, xy.imag = pts[order, 0], pts[order, 1]
-    return pts[order[np.argsort(xy, kind="stable")]]
+    xy = np.empty(len(pts), dtype=complex)
+    xy.real, xy.imag = pts[:, 0], pts[:, 1]
+    order = np.argsort(xy, kind="stable")
+    ordered = xy[order]
+    if (ordered[1:] == ordered[:-1]).any():
+        order = np.argsort(pts[:, 2], kind="stable")
+        order = order[np.argsort(xy[order], kind="stable")]
+    return pts[order]
 
 
 def sq_norms(v: np.ndarray) -> np.ndarray:
@@ -273,15 +278,9 @@ def dbscan_filter(points: np.ndarray, params: DbscanParams = DbscanParams()) -> 
     """Drop DBSCAN noise points; all clusters survive.
 
     min_pts counts the point itself. Points are canonically sorted before
-    clustering, so output is deterministic and filtering is idempotent. Rows
-    each lexicographically at most the next, as fuse_views gives, are in that
-    order already (the sort is stable), so they are not sorted again.
+    clustering, so output is deterministic and filtering is idempotent.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    (x, y, z), (x1, y1, z1) = pts[:-1].T, pts[1:].T
-    ordered = (x < x1) | ((x == x1) & ((y < y1) | ((y == y1) & (z <= z1))))
-    if np.isnan(pts).any() or not ordered.all():
-        pts = canonical_order(pts)  # which rejects NaN
+    pts = canonical_order(points)
     if len(pts) == 0:
         return np.empty((0, 3))
     order, i, j, same, core = _eps_neighbours(pts, params)

@@ -129,10 +129,16 @@ class SceneObject:
         self.color = tuple(int(c) for c in self.color)
 
     def copy(self) -> "SceneObject":
+        """Only a Prismatic is ever mutated (its fraction); other shapes are shared.
+
+        A Prismatic's copy re-runs __post_init__, which normalises its axis
+        again, so a non-axis-aligned axis and the slider it places can end in
+        other last bits after n steps than after one.
+        `test_stepped_drawer_axes_match_recorded_bytes` pins those bytes: a
+        change to how steps copy objects keeps them, or says that it changes them.
+        """
         obj = copy.copy(self)
         obj.position = self.position.copy()
-        # Only a Prismatic is ever mutated (its fraction); other shapes are shared. Its copy
-        # re-runs __post_init__, whose re-normalised axis can move a bit outputs depend on.
         if isinstance(self.shape, Prismatic):
             obj.shape = replace(self.shape)
         return obj

@@ -18,7 +18,8 @@ from groundplan.geometry import OBSTACLE, TARGET_OBJECT, LabeledPointCloud
 from groundplan.planlang import GroundedPlan, GroundedReference, history_text
 from groundplan.planners import CorruptionConfig, corrupt, oracle_factory
 from groundplan.scene import GripperState
-from groundplan.simulate import Simulation
+from groundplan.simulate import Simulation, translate
+from groundplan.tasks import PredicateError
 
 
 def cloud_with(points_by_label):
@@ -194,24 +195,87 @@ def test_zero_probability_corruption_equals_oracle(suite, small_rig):
     assert base.terminal == wrapped.terminal
 
 
-@pytest.mark.parametrize("factory, terminal, error", [
-    (corrupt(oracle_factory, CorruptionConfig(p_malformed=1.0, seed=0)),
-     "parse-failure-exhausted", "MalformedMarkup:"),
-    (lambda ctx: EmptyMaskPlanner(), "failure", "NoTargetPoints:"),
-], ids=["malformed", "empty-masks"])
-def test_persistent_malformed_exhausts_parse_retries(suite, small_rig, factory, terminal, error):
+class ReleasePlanner:
+    """Plans `Release.` on every call; the class is its own planner factory."""
+
+    def __init__(self, ctx=None):
+        pass
+
+    def plan(self, instruction, views, history, inventory):
+        return "Release.", []
+
+
+class MalformedThenEmptyMaskPlanner(EmptyMaskPlanner):
+    """Two calls whose text does not parse, then empty masks: the last retry decides."""
+
+    calls = 0
+
+    def plan(self, instruction, views, history, inventory):
+        self.calls += 1
+        if self.calls < 3:
+            return "Grasp <p> red block", []
+        return super().plan(instruction, views, history, inventory)
+
+
+# Each way an episode ends: (planner, success-check outcomes, terminal, planner
+# calls, motion steps, and the last step's keystep, action, error prefix and
+# motion count). Given outcomes, the k-th success check returns or raises
+# outcomes[k] (False past the last) and every plan decomposes into three motions;
+# otherwise the task's predicate and the motion policy decide.
+TERMINAL_PATHS = {
+    "success-at-start": (ReleasePlanner, [True], "success", 0, 0, None),
+    "predicate-error-at-start": (ReleasePlanner, [PredicateError], "failure", 0, 0, None),
+    "malformed": (corrupt(oracle_factory, CorruptionConfig(p_malformed=1.0, seed=0)), None,
+                  "parse-failure-exhausted", 3, 0, (False, None, "MalformedMarkup:", 0)),
+    "empty-masks": (lambda ctx: EmptyMaskPlanner(), None, "failure", 3, 0,
+                    (False, None, "NoTargetPoints:", 0)),
+    "parse-then-empty-masks": (lambda ctx: MalformedThenEmptyMaskPlanner(), None, "failure", 3, 0,
+                               (False, None, "NoTargetPoints:", 0)),
+    "success-mid-chunk": (ReleasePlanner, [False, False, True], "success", 1, 2,
+                          (True, "release", None, 2)),
+    "predicate-error-after-motion": (ReleasePlanner, [False, PredicateError], "failure", 1, 1,
+                                     (True, "release", None, 1)),
+    "step-budget": (ReleasePlanner, [], "failure", 9, 25, (False, "release", None, 1)),
+}
+
+
+@pytest.mark.parametrize("path", TERMINAL_PATHS)
+def test_each_way_an_episode_ends(monkeypatch, suite, small_rig, path):
+    from groundplan import executor
+
+    factory, outcomes, terminal, calls, motion_steps, last = TERMINAL_PATHS[path]
+    if outcomes is not None:
+        checks = iter(outcomes)
+
+        def success(sim):
+            outcome = next(checks, False)
+            if outcome is PredicateError:
+                raise PredicateError("scripted")
+            return outcome
+
+        monkeypatch.setattr(Simulation, "success", success)
+        monkeypatch.setattr(executor, "motion_policy",
+                            lambda plan, cloud, gripper: [translate(0.0, 0.0, 0.0)] * 3)
     trace = run_episode(suite[0], 1, factory, chunk=5, rig=small_rig, store_views=True)
-    assert trace.terminal == terminal
-    assert trace.planner_calls == 3
-    assert trace.motion_steps == 0
-    [step] = trace.steps
-    assert step.keystep is False
-    assert step.plan is None
-    assert step.motion == []
-    assert step.cloud_counts == {}
-    assert step.views is None and step.cameras is None
-    assert step.history_before == ()
-    assert step.error.startswith(error)
+    assert (trace.terminal, trace.planner_calls, trace.motion_steps) == (
+        terminal, calls, motion_steps)
+    assert sum(len(s.motion) for s in trace.steps) == trace.motion_steps
+    if last is None:
+        assert trace.steps == [] and trace.history == []
+        return
+    keystep, action, error, motions = last
+    assert len(trace.steps) == (calls if action else 1)  # failed retries share one step
+    step = trace.steps[-1]
+    assert step.index == len(trace.steps) - 1
+    assert step.keystep is keystep
+    assert (step.plan and step.plan.action) == action
+    assert step.error is None if error is None else step.error.startswith(error)
+    assert len(step.motion) == motions
+    assert bool(step.cloud_counts) is (action is not None)
+    assert (step.views is None, step.cameras is None) == (not keystep, not keystep)
+    assert step.history_before == tuple(trace.history[:len(trace.steps) - 1])
+    assert step.raw_text
+    assert len(step.gripper_position) == 3 and step.gripper_held is None
 
 
 def test_success_implies_predicate_holds(suite, small_rig):
@@ -297,6 +361,63 @@ def test_golden_trace_digest(tmp_path, suite):
                         h.update(step.views.digest().encode())
     assert terminals == {"success", "failure", "parse-failure-exhausted"}
     assert h.hexdigest() == GOLDEN_TRACE_DIGEST
+
+
+class _RecordedPlanner:
+    def __init__(self, inner, record):
+        self.inner, self.record = inner, record
+
+    def plan(self, *args):
+        return self.record("plan", self.inner.plan)(*args)
+
+
+# The executor globals the benchmark wraps (`bench/layers.py`), looked up at call time.
+_TRACED_EXECUTOR_CALLS = ("render_views", "ground_plan", "unproject", "fuse_views",
+                          "dbscan_filter", "categorize", "parse_plan", "motion_policy")
+
+# sha256 over the calls the golden panel makes to those globals, to
+# Simulation.sample, step and success and to the planner, in call order, each
+# raised exception marked after its call. Recorded before the episode loop was
+# rewritten around one exit rule.
+GOLDEN_CALLS_DIGEST = "8e049d66f101b30c2350a0cbff19de79d6583d82ea3cd9dd7699e0e011233818"
+
+
+def test_golden_panel_calls_match_recorded_sequence(monkeypatch, suite):
+    """A reordered stage, a call made more or less often, or a function bound at
+    import time, whose span the benchmark would silently lose, changes the hash."""
+    import hashlib
+
+    from groundplan import executor
+    from groundplan.scene import default_rig
+
+    calls: list[str] = []
+
+    def record(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            try:
+                return fn(*args, **kwargs)
+            except Exception as e:
+                calls.append(f"{name}!{type(e).__name__}")
+                raise
+        return call
+
+    for name in _TRACED_EXECUTOR_CALLS:
+        monkeypatch.setattr(executor, name, record(name, getattr(executor, name)))
+    sample = vars(Simulation)["sample"].__func__
+    monkeypatch.setattr(Simulation, "sample", classmethod(record("sample", sample)))
+    for name in ("step", "success"):
+        monkeypatch.setattr(Simulation, name, record(name, getattr(Simulation, name)))
+    rig = default_rig(96)
+    for factory, chunk, grounding in _golden_arms():
+        def recorded_factory(ctx, factory=factory):
+            return _RecordedPlanner(factory(ctx), record)
+        for task in suite:
+            for seed in (1, 2):
+                run_episode(task, seed, recorded_factory, chunk=chunk, rig=rig,
+                            grounding=grounding)
+    assert set(calls) >= {*_TRACED_EXECUTOR_CALLS, "sample", "step", "success", "plan"}
+    assert hashlib.sha256("\n".join(calls).encode()).hexdigest() == GOLDEN_CALLS_DIGEST
 
 
 @pytest.mark.parametrize("arm", range(4), ids=["oracle-chunk5", "oracle-chunk1",

@@ -219,7 +219,7 @@ def test_ground_plan_mask_pixels_equal_unproject(suite, data, seed, noise, dbsca
 @given(cloud=st.lists(st.tuples(*[st.floats(-0.05, 0.05)] * 3), min_size=1, max_size=80),
        eps=st.sampled_from([0.004, 0.008, 0.02]), min_pts=st.integers(1, 6))
 def test_dbscan_on_canonical_input_equals_dbscan_on_any_order(cloud, eps, min_pts):
-    """fuse_views output is canonical, so dbscan_filter does not sort it again."""
+    """fuse_views output is canonical; dbscan_filter sorts it again, to the same bytes."""
     params = DbscanParams(eps=eps, min_pts=min_pts)
     pts = np.array(cloud)
     fused = fuse_views([pts])

@@ -415,6 +415,43 @@ def test_scene_copy_mutations_do_not_reach_the_original():
     assert scene_key(scene) == before
 
 
+# sha256 over the axis, slider centre and fraction of 200 half-open drawers with
+# random axes, each after 25 gripper moves that never touch it, recorded while
+# every step copied every object. Each copy of a Prismatic normalises its axis
+# again, so for an axis that is not a unit coordinate vector these bytes depend
+# on how many copies were made: 64 of the 200 drawers end with other axis or
+# slider bytes than they were built with. A change to how steps copy objects
+# (say, copying only what a step moves) must keep this digest or say why.
+STEPPED_DRAWER_DIGEST = "9450847600c3012d3c1abd71ea7045a00ef94ac87a9dd5d481c8c92083c579b3"
+
+
+def test_stepped_drawer_axes_match_recorded_bytes():
+    rng = np.random.default_rng(24)
+    h = hashlib.sha256()
+    for _ in range(200):
+        drawer = SceneObject(
+            id=1, raw_name="drawer", color=(0, 0, 0),
+            shape=Prismatic(
+                body_half=np.array([0.07, 0.05, 0.03]),
+                slider_half=np.array([0.055, 0.04, 0.02]),
+                slider_offset=np.array([0.0, 0.0, 0.005]),
+                axis=rng.normal(size=3),
+                travel=0.09,
+                fraction=float(rng.uniform()),
+            ),
+            position=np.array([0.1, 0.0, 0.03]),
+            yaw=float(rng.uniform(0.0, 2.0 * math.pi)),
+        )
+        scene, grip = Scene(objects=[drawer]), GripperState(position=np.array([-0.3, 0.0, 0.3]))
+        for _ in range(25):
+            scene, grip = step_motion(scene, grip, translate(0.0, 0.0, 0.01))
+        [stepped] = scene.objects
+        h.update(stepped.shape.axis.tobytes())
+        h.update(stepped.slider_center().tobytes())
+        h.update(np.float64(stepped.shape.fraction).tobytes())
+    assert h.hexdigest() == STEPPED_DRAWER_DIGEST
+
+
 # -- success predicates ------------------------------------------------------------
 
 
