@@ -263,13 +263,15 @@ class _RunsView(View):
     """A view read from a dataset. Its id map stays as the record's [oid, runs]
     entries until .ids is first read, which decodes it once (later entries win),
     and its depth stays in its file until .depth is first read. Both frames are
-    read-only once built: an identity match implies equal bytes."""
+    read-only, as every View's are. `id_counts` is the counts the runs gave when
+    read, or else the decoded frame's."""
 
     def __init__(self, path: str, shape: tuple[int, int], id_runs: list, counts: tuple | None):
         self._path = path
         self._shape = shape
         self._id_runs = id_runs
-        self._counts = counts
+        if counts is not None:
+            self.id_counts = shape, counts
 
     @cached_property
     def depth(self) -> np.ndarray:
@@ -290,12 +292,6 @@ class _RunsView(View):
             ids[rle_decode(runs, ids.shape)] = oid
         ids.flags.writeable = False
         return ids
-
-    def id_counts(self) -> tuple:
-        """View.id_counts: the counts the runs gave when read, else the decoded frame's."""
-        if self._counts is None:
-            self._counts = super().id_counts()[1]
-        return self._shape, self._counts
 
 
 def _id_map_counts(per_cam, pixels: int, field: str) -> tuple | None:

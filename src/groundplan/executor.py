@@ -107,7 +107,7 @@ def _robot_pixels(view, cam, gripper: GripperState) -> tuple[np.ndarray, np.ndar
         vs, us = vs + v0, us + u0
     if not held:  # nothing held (id 0 is background, never a scene point): the window alone
         return _NO_PIXELS if rect is None else (vs, us)
-    valid, width = view.valid_pixels(), view.depth.shape[1]
+    valid, width = view.valid_pixels, view.depth.shape[1]
     pixels = valid[view.ids.ravel()[valid] == held]
     if rect is not None:  # two disjoint row-major runs, which a stable sort merges
         pixels = np.sort(np.concatenate([pixels, vs * width + us]), kind="stable")
@@ -131,7 +131,7 @@ def ground_plan(
     reference_clouds: dict[str, np.ndarray] = {}
     for slot, ref in plan.references():
         per_view = [
-            unproject(view.depth, mask, cam, view.valid_pixels())
+            unproject(view.depth, mask, cam, view.valid_pixels)
             for view, mask, cam in zip(views, ref.masks, rig.cameras)
         ]
         cloud = fuse_views(per_view)
@@ -144,7 +144,7 @@ def ground_plan(
     hidden = 0
     for view, cam in zip(views, rig.cameras):
         vs, us = _robot_pixels(view, cam, gripper)
-        hidden += view.scene_pixels() - len(vs)
+        hidden += view.scene_pixels - len(vs)
         scene_parts.append(unproject_pixels(view.depth, vs, us, cam))
         id_parts.append(view.ids[vs, us])
     scene_points = np.concatenate(scene_parts) if scene_parts else np.empty((0, 3))

@@ -25,7 +25,7 @@ from .planlang import (
     parse_plan,
     serialize_plan,
 )
-from .scene import ViewSet
+from .scene import View, ViewSet
 from .simulate import Simulation
 from .tasks import PlanSlot, TaskScript, predicate_terms
 
@@ -202,7 +202,7 @@ class ReplayPlanner:
 
     @staticmethod
     def _key(instruction, views, history) -> tuple:
-        return instruction, tuple(history), tuple(v.id_counts() for v in views)
+        return instruction, tuple(history), tuple(v.id_counts for v in views)
 
     @classmethod
     def from_records(cls, records) -> "ReplayPlanner":
@@ -356,9 +356,9 @@ class MaskNoisePlanner:
     Spurious pixels are drawn by inverse-CDF sampling, as
     ``Generator.choice(candidates, p=w)`` does: k uniforms looked up in the
     float64 CDF of the normalised weights, with choice's picks and generator
-    state. A view's CDF is built once, shared by every reference, and kept,
-    like the render memo keeps views, while its camera's view is the same
-    read-only object.
+    state. A view's CDF is built once and shared by every reference; the
+    planner keeps the CDFs of the current call's views only, so a view the
+    render memo returns again reuses its CDF.
     """
 
     def __init__(self, base: Planner, noise: float, episode_seed: int = 0, seed: int = 0):
@@ -370,12 +370,12 @@ class MaskNoisePlanner:
         self.rng = np.random.default_rng(
             np.random.SeedSequence([seed & (2**64 - 1), episode_seed & (2**64 - 1), 1451])
         )
-        self._cdfs: dict[int, tuple] = {}  # camera index -> (view, CDF)
+        self._cdfs: dict[View, np.ndarray] = {}
 
-    def _cdf(self, i: int, view, candidates: np.ndarray) -> np.ndarray:
-        kept = self._cdfs.get(i)
-        if kept is not None and kept[0] is view:
-            return kept[1]
+    def _cdf(self, view: View, candidates: np.ndarray) -> np.ndarray:
+        cdf = self._cdfs.get(view)
+        if cdf is not None:
+            return cdf
         # Weight by the surface area a pixel covers (~depth^2) so spurious
         # pixels scatter uniformly over scene surfaces instead of piling onto
         # foreshortened nearby objects. choice casts p to float64 before its
@@ -386,34 +386,28 @@ class MaskNoisePlanner:
         if not np.isfinite(cdf[-1]):
             raise ValueError("speckle weights must have a finite, positive total")
         cdf /= cdf[-1]
-        self._cdfs[i] = (view, cdf)
+        self._cdfs[view] = cdf
         return cdf
 
-    def _speckle(self, mask: np.ndarray, view, i: int) -> np.ndarray:
+    def _speckle(self, mask: np.ndarray, view: View) -> np.ndarray:
         on = np.flatnonzero(mask)
         if len(on) == 0 or self.noise == 0.0:
             return mask
         out = np.asarray(mask, dtype=bool).copy()
         flat = out.ravel()
         flat[on[self.rng.random(len(on)) < self.noise]] = False
-        candidates = view.valid_pixels()
+        candidates = view.valid_pixels
         if len(candidates):
             k = int(self.rng.binomial(len(on), self.noise))
             if k:
-                cdf = self._cdf(i, view, candidates)
+                cdf = self._cdf(view, candidates)
                 flat[candidates[cdf.searchsorted(self.rng.random(k), side="right")]] = True
         return out
 
     def plan(self, instruction, views, history, inventory) -> PlannerOutput:
         text, stacks = self.base.plan(instruction, views, history, inventory)
-        # Only this call's views; a writable frame may have changed since.
-        self._cdfs = {i: kept for i, kept in self._cdfs.items() if i < len(views)
-                      and kept[0] is views[i] and not views[i].depth.flags.writeable}
-        noisy = [
-            [self._speckle(m, v, i) for i, (m, v) in enumerate(zip(stack, views))]
-            for stack in stacks
-        ]
-        return text, noisy
+        self._cdfs = {v: self._cdfs[v] for v in views if v in self._cdfs}
+        return text, [[self._speckle(m, v) for m, v in zip(stack, views)] for stack in stacks]
 
 
 def with_mask_noise(base_factory: PlannerFactory, noise: float, seed: int = 0) -> PlannerFactory:

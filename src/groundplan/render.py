@@ -22,11 +22,6 @@ are two elementwise maximum or minimum calls each, in the order numpy's
 reduction takes the components, so the result is bit-identical to it. The
 box and cylinder tests write into their own temporaries; each keeps the
 floating-point operations, and their order, of its allocating form.
-
-Rendered depth and id maps are read-only. Within one episode the executor
-passes a memo to `render_views`, which then reuses a camera's previous
-`View` when the camera and every primitive are byte-equal to the last
-render; a view is a pure function of both, so reuse is bit-exact.
 """
 
 from __future__ import annotations
@@ -285,8 +280,6 @@ def _render(solids: list[tuple], cam: CameraModel) -> View:
             np.copyto(band_ids[window], oid, where=closer)
         # A pixel with an id holds its finite hit depth; every other pixel stays 0.0.
         np.copyto(depth[top:bottom], band, where=band_ids != 0, casting="same_kind")
-    depth.flags.writeable = False
-    ids.flags.writeable = False
     return View(depth=depth, ids=ids)
 
 

@@ -18,6 +18,7 @@ import copy
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -295,15 +296,16 @@ class CameraModel:
         return -self.rotation.T @ self.translation
 
 
-def look_at(eye, target, up=(0.0, 0.0, 1.0)) -> tuple[np.ndarray, np.ndarray]:
-    """World-to-camera extrinsic for a camera at `eye` looking at `target`."""
+def look_at(eye, target) -> tuple[np.ndarray, np.ndarray]:
+    """World-to-camera extrinsic for a camera at `eye` looking at `target`, with
+    world z up, or world x up when it looks straight up or down."""
     eye = _vec3(eye)
     forward = _vec3(target) - eye
     n = np.linalg.norm(forward)
     if n == 0:
         raise ValueError("eye and target coincide")
     z = forward / n
-    up = _vec3(up)
+    up = np.array([0.0, 0.0, 1.0])
     if np.linalg.norm(np.cross(z, up)) < 1e-9:
         up = np.array([1.0, 0.0, 0.0])
     x = np.cross(z, up)
@@ -313,8 +315,8 @@ def look_at(eye, target, up=(0.0, 0.0, 1.0)) -> tuple[np.ndarray, np.ndarray]:
     return rot, -rot @ eye
 
 
-def _pinhole(eye, target, role: str, resolution: int, up=(0.0, 0.0, 1.0)) -> CameraModel:
-    rot, t = look_at(eye, target, up)
+def _pinhole(eye, target, role: str, resolution: int) -> CameraModel:
+    rot, t = look_at(eye, target)
     f = float(resolution)
     c = resolution / 2.0
     return CameraModel(
@@ -386,9 +388,16 @@ def default_rig(resolution: int = DEFAULT_RESOLUTION) -> CameraRig:
 # -- rendered views -----------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class View:
-    """One camera's depth map plus per-pixel instance ids (0 = background)."""
+    """One camera's depth map plus per-pixel instance ids (0 = background).
+
+    A view is a value: its depth and id maps are read-only from construction,
+    so what derives from them is computed once and kept, and a view equals only
+    itself. Within one episode `render_views` may return a camera's previous
+    `View` again; a view is a pure function of the camera and the primitives,
+    so reuse is bit-exact.
+    """
 
     depth: np.ndarray
     ids: np.ndarray
@@ -396,42 +405,31 @@ class View:
     def __post_init__(self):
         if self.depth.shape != self.ids.shape:
             raise ValueError("depth and id maps must share a resolution")
+        self.depth.flags.writeable = False
+        self.ids.flags.writeable = False
 
-    def mask_for(self, oid: int) -> np.ndarray:
-        return self.ids == oid
-
+    @cached_property
     def valid_pixels(self) -> np.ndarray:
         """Row-major flat int32 indices of the pixels with positive depth, from the
-        one whole-frame scan of the depth map; kept when the frame is read-only,
-        as rendered and read frames are."""
-        valid = self.__dict__.get("_valid_pixels")
-        if valid is None:
-            valid = np.flatnonzero(self.depth.ravel() > 0).astype(np.int32)
-            if not self.depth.flags.writeable:
-                self._valid_pixels = valid
-        return valid
+        one whole-frame scan of the depth map."""
+        return np.flatnonzero(self.depth.ravel() > 0).astype(np.int32)
 
+    @cached_property
     def scene_pixels(self) -> int:
-        """The pixels with an object id and positive depth: one scene point each.
-        Kept, like `valid_pixels`, when both frames are read-only."""
-        count = self.__dict__.get("_scene_pixels")
-        if count is None:
-            count = int(np.count_nonzero(self.ids.ravel()[self.valid_pixels()]))
-            if not (self.depth.flags.writeable or self.ids.flags.writeable):
-                self._scene_pixels = count
-        return count
+        """The pixels with an object id and positive depth: one scene point each."""
+        return int(np.count_nonzero(self.ids.ravel()[self.valid_pixels]))
 
-    def object_ids(self) -> list[int]:
-        """The nonzero ids in the view, ascending. Only the nonzero pixels are
-        sorted; on sparse frames that is a small share of the id map."""
-        return np.unique(self.ids[self.ids != 0]).tolist()
-
+    @cached_property
     def id_counts(self) -> tuple:
         """The id map's shape and its (oid, pixel count) pairs for nonzero oids,
         ascending: equal id maps give equal tuples."""
         ids = self.ids
         oids, counts = np.unique(ids[ids != 0], return_counts=True)
         return ids.shape, tuple(zip(oids.tolist(), counts.tolist()))
+
+    def object_ids(self) -> list[int]:
+        """The nonzero ids in the view, ascending."""
+        return [oid for oid, _ in self.id_counts[1]]
 
 
 @dataclass
@@ -448,7 +446,7 @@ class ViewSet:
         return self.views[i]
 
     def masks_for(self, oid: int) -> list[np.ndarray]:
-        return [v.mask_for(oid) for v in self.views]
+        return [v.ids == oid for v in self.views]
 
     def visible_ids(self) -> set[int]:
         ids: set[int] = set()

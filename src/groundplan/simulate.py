@@ -24,7 +24,7 @@ from .scene import (
     SceneObject,
     yaw_matrix,
 )
-from .tasks import PredicateError, TaskScript, check_success
+from .tasks import TaskScript, check_success
 
 MAX_TRANSLATE = 0.05
 GRASP_RADIUS = 0.03
@@ -325,10 +325,3 @@ class Simulation:
     def inventory(self) -> list[tuple[int, str]]:
         return self.scene.inventory()
 
-
-__all__ = [
-    "MotionStep", "translate", "close_gripper", "open_gripper", "slide_joint",
-    "rotate_held", "sample_scene", "step_motion", "Simulation", "check_success",
-    "PlacementError", "InvalidMotionError", "PredicateError",
-    "MAX_TRANSLATE", "GRASP_RADIUS", "GRIPPER_HOME",
-]

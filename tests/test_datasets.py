@@ -559,14 +559,13 @@ def test_resolver_agrees_with_realpath(tmp_path):
 
 
 def eager_views(id_maps, depths) -> ViewSet:
-    """The reference: each view's id map decoded into one read-only int32 frame
-    when the record is read, later [oid, runs] entries winning where they overlap."""
+    """The reference: each view's id map decoded into one int32 frame when the
+    record is read, later [oid, runs] entries winning where they overlap."""
     views = []
     for per_cam, depth in zip(id_maps, depths):
         ids = np.zeros(depth.shape, dtype=np.int32)
         for oid, runs in per_cam:
             ids[rle_decode(runs, depth.shape)] = oid
-        ids.flags.writeable = False
         views.append(View(depth=depth, ids=ids))
     return ViewSet(views)
 

@@ -268,13 +268,12 @@ def _answer(planner, instruction, views, history):
 
 
 def _frames_copy(views, change=None):
-    """Read-only copies of the frames, `change(depth, ids)` applied to the first view's."""
+    """Copies of the frames, `change(depth, ids)` applied to the first view's."""
     out = []
     for i, v in enumerate(views):
         depth, ids = v.depth.copy(), v.ids.copy()
         if change is not None and i == 0:
             change(depth, ids)
-        depth.flags.writeable = ids.flags.writeable = False
         out.append(View(depth=depth, ids=ids))
     return ViewSet(out)
 
@@ -402,7 +401,7 @@ def test_replay_lookup_on_read_views_matches_digest_keyed_reference(tmp_path):
                 readers.append(read_views(rng, h, w, n_views))
                 views = readers[-1]()
             for v in views:
-                assert v.id_counts() == View(depth=v.depth, ids=v.ids).id_counts()
+                assert v.id_counts == View(depth=v.depth, ids=v.ids).id_counts
             history = [(), ("a",)][int(rng.integers(2))]
             records.append(record(["open", "close"][int(rng.integers(2))], history, views))
         assert_lookups_match_reference(records, record, rng, h, w)

@@ -108,7 +108,7 @@ def _gripper_at(data, sim, rig) -> np.ndarray:
 
 def _with_holes(view: View, data) -> View:
     """The view with depth zeroed on some pixels that keep their object id, as a
-    frame read from outside may have; its arrays stay writable."""
+    frame read from outside may have."""
     holes = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     depth = np.array(view.depth)
     depth[holes.random(depth.shape) < 0.2] = 0.0

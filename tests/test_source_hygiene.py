@@ -11,10 +11,15 @@ JSON types, an `_is_<kind>` helper, or an inline `type(...) is int` or
 `isinstance(..., str)` test of a JSON type.
 
 Only `View` scans a whole depth frame for valid pixels: `View.valid_pixels`
-keeps the scan of a read-only frame, so every other reader takes its index
-instead of a `depth > 0` pass of its own. A window of a frame (a subscript)
-may be tested anywhere. `geometry.unproject` keeps its own scan as the
-reference for a bare frame, and uses the index when it is given one.
+keeps the scan, so every other reader takes its index instead of a
+`depth > 0` pass of its own. A window of a frame (a subscript) may be tested
+anywhere. `geometry.unproject` keeps its own scan as the reference for a bare
+frame, and uses the index when it is given one.
+
+No module reads `.flags.writeable`: every `View` is read-only from
+construction, so no code path depends on whether a frame is writable. Only
+`View.__post_init__` sets the flag on frames, with `_RunsView.ids` for the id
+map it decodes lazily, and `scene._wrist_pose` on the rotation it keeps.
 """
 
 from __future__ import annotations
@@ -119,24 +124,22 @@ def _whole_depth_frame(node) -> bool:
             or (isinstance(node, ast.Attribute) and node.attr == "depth"))
 
 
+def _scoped(node, scope=()):
+    """Every node below `node` with the names of the classes and functions it
+    is in, joined by dots."""
+    for child in ast.iter_child_nodes(node):
+        yield child, ".".join(scope)
+        inner = scope + (child.name,) if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+        yield from _scoped(child, inner)
+
+
 def depth_scans(source: str) -> list[str]:
     """Each whole-frame `depth > 0` test, as '<line>: <class>.<function>'."""
-    found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                inner = scope + [child.name]
-            elif (isinstance(child, ast.Compare) and len(child.ops) == 1
-                  and isinstance(child.ops[0], ast.Gt)
-                  and isinstance(child.comparators[0], ast.Constant)
-                  and child.comparators[0].value == 0 and _whole_depth_frame(child.left)):
-                found.append(f"{child.lineno}: {'.'.join(scope)}")
-            visit(child, inner)
-
-    visit(ast.parse(source), [])
-    return found
+    return [f"{node.lineno}: {scope}" for node, scope in _scoped(ast.parse(source))
+            if isinstance(node, ast.Compare) and len(node.ops) == 1
+            and isinstance(node.ops[0], ast.Gt)
+            and isinstance(node.comparators[0], ast.Constant)
+            and node.comparators[0].value == 0 and _whole_depth_frame(node.left)]
 
 
 # (module, scope) of the scans the rule allows, with their reasons above.
@@ -165,3 +168,32 @@ def test_a_whole_depth_frame_scan_is_reported():
               "    def g(self):\n"
               "        return self.depth.reshape(-1) > 0, self.depth > 1\n")
     assert depth_scans(source) == ["2: f", "3: f", "4: f", "9: V.g"]
+
+
+def writeable_flags(source: str) -> list[str]:
+    """Each `<x>.flags.writeable`, as '<line>: read|set <class>.<function>'."""
+    return [f"{node.lineno}: {'read' if isinstance(node.ctx, ast.Load) else 'set'} {scope}"
+            for node, scope in _scoped(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "writeable"]
+
+
+# (module, scope) of the places that freeze an array, with their reasons above.
+WRITEABLE_SETTERS = {("scene.py", "View.__post_init__"), ("scene.py", "_wrist_pose"),
+                     ("datasets.py", "_RunsView.ids")}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_the_writeable_flag_is_never_read_and_set_only_by_its_owners(path):
+    flags = [f.split(": ")[1].split(" ") for f in writeable_flags(path.read_text())]
+    assert [f for f in flags if f[0] == "read" or (path.name, f[1]) not in WRITEABLE_SETTERS] == []
+
+
+def test_a_writeable_flag_read_or_set_is_reported():
+    source = ("def f(view, ids):\n"
+              "    ids.flags.writeable = False\n"
+              "    if not view.depth.flags.writeable:\n"
+              "        return None\n"
+              "class V:\n"
+              "    def g(self):\n"
+              "        return [v for v in (1,) if self.ids.flags.writeable]\n")
+    assert writeable_flags(source) == ["2: set f", "3: read f", "7: read V.g"]
