@@ -27,6 +27,16 @@ Offline replay scoring keys records on id-map pixel counts (`View.id_counts`),
 taken from the runs in the walk that checks them, matches views by identity and
 scores against the ground-truth masks, so it opens no depth file and rarely
 decodes an id map. Records of one dataset share one `CameraModel` per camera.
+
+What is held when. Generation holds one episode at a time: the episode runs,
+its records and depth files are written, and it is dropped before the next
+one runs, so memory does not grow with the episode count. Its trace keeps
+views and masks at keysteps only (`TraceStep`). ``long`` holds each
+variation's traces until its groups are built, and variation 0's until the
+last variation pairs back to it. Files are written into a staging directory
+beside the output and moved into it, the manifest last, once every record
+is written; a failed episode removes only the staging directory, so the
+output directory is left as it was.
 """
 
 from __future__ import annotations
@@ -34,7 +44,10 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import shutil
 import struct
+import tempfile
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
@@ -402,31 +415,51 @@ def _record_filename(rec) -> str:
 # -- dataset writing / reading ---------------------------------------------------
 
 
-def write_dataset(manifest: DatasetManifest, records: list, out_dir: str) -> DatasetManifest:
-    """Write records plus manifest; returns the manifest with its file index."""
-    os.makedirs(os.path.join(out_dir, "records"), exist_ok=True)
-    os.makedirs(os.path.join(out_dir, "depth"), exist_ok=True)
-    files = []
-    depth_written: set[str] = set()
-    for rec in records:
-        name = _record_filename(rec)
-        payload = json.dumps(_record_to_json(rec), sort_keys=True,
-                             separators=(",", ":"))
-        with open(os.path.join(out_dir, name), "w") as f:
-            f.write(payload)
+def write_dataset(manifest: DatasetManifest, records: Iterable, out_dir: str) -> DatasetManifest:
+    """Write records plus manifest; returns the manifest with its file index.
+
+    records is read once, in order, and may be lazy: each record's files are
+    written as it is read, into a staging directory beside out_dir. After the
+    last record the staged dataset becomes out_dir in one rename, or, where
+    out_dir exists already, its files are moved in, the manifest last. If reading or writing a record raises, only the staging
+    directory is removed, so out_dir is left as it was."""
+    parent, base = os.path.split(os.path.abspath(out_dir))
+    os.makedirs(parent, exist_ok=True)
+    work = tempfile.mkdtemp(prefix=f".{base}-", dir=parent)
+    stage = os.path.join(work, base)
+    try:
+        for d in (stage, os.path.join(stage, "records"), os.path.join(stage, "depth")):
+            os.mkdir(d)
+        files: list[str] = []
+        depth_written: set[str] = set()
+        for rec in records:
+            name = _record_filename(rec)
+            payload = json.dumps(_record_to_json(rec), sort_keys=True, separators=(",", ":"))
+            with open(os.path.join(stage, name), "w") as f:
+                f.write(payload)
+                f.write("\n")
+            files.append(name)
+            for depth_name, view in zip(
+                _depth_names(rec.episode, rec.keystep, rec.cameras), rec.views
+            ):
+                if depth_name not in depth_written:
+                    write_depth(os.path.join(stage, depth_name), view.depth)
+                    depth_written.add(depth_name)
+                    files.append(depth_name)
+            rec = view = None  # the next record's episode may run before the loop rebinds them
+        manifest.files = sorted(files)
+        with open(os.path.join(stage, "manifest.json"), "w") as f:
+            json.dump(manifest.to_json(), f, sort_keys=True, indent=2)
             f.write("\n")
-        files.append(name)
-        for depth_name, view in zip(
-            _depth_names(rec.episode, rec.keystep, rec.cameras), rec.views
-        ):
-            if depth_name not in depth_written:
-                write_depth(os.path.join(out_dir, depth_name), view.depth)
-                depth_written.add(depth_name)
-                files.append(depth_name)
-    manifest.files = sorted(files)
-    with open(os.path.join(out_dir, "manifest.json"), "w") as f:
-        json.dump(manifest.to_json(), f, sort_keys=True, indent=2)
-        f.write("\n")
+        if os.path.exists(out_dir):
+            for sub in ("records", "depth"):
+                os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
+            for name in files + ["manifest.json"]:
+                os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
+        else:
+            os.replace(stage, out_dir)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
     return manifest
 
 
@@ -454,62 +487,56 @@ def read_dataset(data_dir: str) -> tuple[DatasetManifest, list]:
 # -- generators -------------------------------------------------------------------
 
 
-def _run_oracle_episodes(
-    suite: list[TaskScript],
-    episodes_per_variation: int,
-    seed: int,
-    rig: CameraRig | None,
-) -> dict[str, list[EpisodeTrace]]:
-    rig = default_rig() if rig is None else rig
-    traces: dict[str, list[EpisodeTrace]] = {}
-    for vi, task in enumerate(suite):
-        per = []
-        for ei in range(episodes_per_variation):
-            ep_seed = dataset_episode_seed(seed, vi, ei)
-            trace = run_episode(
-                task, ep_seed, oracle_factory, chunk=5, rig=rig, store_views=True
+def _oracle_traces(task: TaskScript, vi: int, episodes_per_variation: int, seed: int,
+                   rig: CameraRig):
+    """Variation vi's oracle traces, each episode run when the trace is read."""
+    for ei in range(episodes_per_variation):
+        ep_seed = dataset_episode_seed(seed, vi, ei)
+        trace = run_episode(task, ep_seed, oracle_factory, chunk=5, rig=rig, store_views=True)
+        if not trace.success:
+            sizes = sorted({f"{cam.width}x{cam.height}" for cam in rig.cameras})
+            raise RuntimeError(
+                f"oracle episode failed: task {task.key} seed {ep_seed} "
+                f"({trace.terminal}) at camera resolution {', '.join(sizes)}"
             )
-            if not trace.success:
-                sizes = sorted({f"{cam.width}x{cam.height}" for cam in rig.cameras})
-                raise RuntimeError(
-                    f"oracle episode failed: task {task.key} seed {ep_seed} "
-                    f"({trace.terminal}) at camera resolution {', '.join(sizes)}"
-                )
-            per.append(trace)
-        traces[task.key] = per
-    return traces
+        yield trace
+        del trace  # the next episode runs without this one
 
 
 def _generate(kind, suite, episodes_per_variation, seed, out_dir, groups, id_prefix,
               extract) -> DatasetManifest:
-    """Number the episodes, collect their records, write the dataset.
+    """Number the episodes and stream their records to `write_dataset`.
 
-    groups lists (manifest count key, per-episode items); extract(episode id,
-    item) returns that episode's records and its keystep count.
+    groups yields (manifest count key, per-episode items), each read lazily;
+    extract(episode id, item) returns that episode's records and its keystep
+    count. write_dataset reads the records one episode at a time, so an
+    episode runs, is written and is dropped before the next one runs. The
+    manifest's totals are filled in as the records are read, and a key that
+    repeats adds up its groups' records.
     """
-    records: list = []
-    counts: dict[str, int] = {}
-    episodes = keysteps = 0
-    for key, items in groups:
-        n = 0
-        for item in items:
-            recs, ks = extract(f"{id_prefix}{episodes:05d}", item)
-            episodes += 1
-            keysteps += ks
-            n += len(recs)
-            records.extend(recs)
-        counts[key] = n
     manifest = DatasetManifest(
-        kind=kind,
-        suite_hash=suite_digest(suite),
-        seed=seed,
-        episodes_per_variation=episodes_per_variation,
-        counts=counts,
-        total_records=len(records),
-        total_episodes=episodes,
-        mean_keysteps_per_episode=(keysteps / episodes) if episodes else 0.0,
+        kind=kind, suite_hash=suite_digest(suite), seed=seed,
+        episodes_per_variation=episodes_per_variation, counts={}, total_records=0,
+        total_episodes=0, mean_keysteps_per_episode=0.0,
     )
-    return write_dataset(manifest, records, out_dir)
+
+    def records():
+        keysteps = 0
+        for key, items in groups:
+            manifest.counts.setdefault(key, 0)
+            for item in items:
+                recs, ks = extract(f"{id_prefix}{manifest.total_episodes:05d}", item)
+                del item
+                manifest.total_episodes += 1
+                manifest.counts[key] += len(recs)
+                manifest.total_records += len(recs)
+                keysteps += ks
+                yield from recs
+                del recs  # the next episode runs without this one
+        if manifest.total_episodes:
+            manifest.mean_keysteps_per_episode = keysteps / manifest.total_episodes
+
+    return write_dataset(manifest, records(), out_dir)
 
 
 def _plan_records(episode_id: str, trace: EpisodeTrace) -> tuple[list[KeystepRecord], int]:
@@ -525,8 +552,9 @@ def gen_plan_dataset(
     rig: CameraRig | None = None,
 ) -> DatasetManifest:
     """Grounded-planning tuples from oracle episodes, one per keystep."""
-    traces = _run_oracle_episodes(suite, episodes_per_variation, seed, rig)
-    groups = [(task.key, traces[task.key]) for task in suite]
+    rig = default_rig() if rig is None else rig
+    groups = ((task.key, _oracle_traces(task, vi, episodes_per_variation, seed, rig))
+              for vi, task in enumerate(suite))
     return _generate("plan", suite, episodes_per_variation, seed, out_dir, groups, "e",
                      _plan_records)
 
@@ -564,8 +592,9 @@ def gen_refexp_dataset(
     rig: CameraRig | None = None,
 ) -> DatasetManifest:
     """Referring-expression records: every visible inventory object per keystep."""
-    traces = _run_oracle_episodes(suite, episodes_per_variation, seed, rig)
-    groups = [(task.key, traces[task.key]) for task in suite]
+    rig = default_rig() if rig is None else rig
+    groups = ((task.key, _oracle_traces(task, vi, episodes_per_variation, seed, rig))
+              for vi, task in enumerate(suite))
     return _generate("refexp", suite, episodes_per_variation, seed, out_dir, groups, "e",
                      _refexp_records)
 
@@ -617,16 +646,24 @@ def gen_long_dataset(
     """Pair episode i of each variation with episode i of the next variation."""
     if len(suite) < 2:
         raise ValueError("long-horizon generation needs at least two variations")
-    traces = _run_oracle_episodes(suite, episodes_per_variation, seed, rig)
-    groups = []
-    for vi, task_a in enumerate(suite):
-        task_b = suite[(vi + 1) % len(suite)]
-        if task_a.key == task_b.key:
-            continue
-        pairs = [
-            (traces[task_a.key][ei], traces[task_b.key][ei], dataset_episode_seed(seed, vi, ei))
-            for ei in range(episodes_per_variation)
-        ]
-        groups.append((f"{task_a.key}|{task_b.key}", pairs))
+    groups = _long_groups(suite, episodes_per_variation, seed,
+                          default_rig() if rig is None else rig)
     return _generate("long", suite, episodes_per_variation, seed, out_dir, groups, "p",
                      _long_records)
+
+
+def _long_groups(suite, episodes_per_variation, seed, rig):
+    """(count key, pairs) for each variation vi and the next one, unless they
+    share a key. A pair is episode ei of both and the pair's seed. Every
+    variation's episodes run once, in suite order, even where no pair uses
+    them; variation 0's traces are kept for the last variation's pairs."""
+    prev = first = list(_oracle_traces(suite[0], 0, episodes_per_variation, seed, rig))
+    for vi, task_a in enumerate(suite):
+        wi = (vi + 1) % len(suite)
+        nxt = first if wi == 0 else list(
+            _oracle_traces(suite[wi], wi, episodes_per_variation, seed, rig))
+        if task_a.key != suite[wi].key:
+            yield f"{task_a.key}|{suite[wi].key}", [
+                (a, b, dataset_episode_seed(seed, vi, ei)) for ei, (a, b) in enumerate(zip(prev, nxt))
+            ]
+        prev = nxt

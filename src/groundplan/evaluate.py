@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .executor import GroundingConfig, run_episode
-from .jsonfile import fields
+from .jsonfile import fields, invalid
 from .objectives import iou
 from .planlang import PlanParseError, normalize_text, parse_plan
 from .planners import Planner, PlannerFactory
@@ -102,10 +102,20 @@ class OnlineResult:
 
     @classmethod
     def from_json(cls, d: dict) -> "OnlineResult":
-        return cls(variations={
-            k: VariationResult(fields(v, _VARIATION, f"variations.{k}")["runs"])
-            for k, v in fields(d, {"variations": dict})["variations"].items()
-        })
+        """The result in d. Each variation's runs must be success rates, at least
+        one, and its stored mean and std must be those of its runs."""
+        variations = {}
+        for k, v in fields(d, {"variations": dict})["variations"].items():
+            at = f"variations.{k}"
+            stored = fields(v, _VARIATION, at)
+            if not stored["runs"] or not all(0.0 <= r <= 1.0 for r in stored["runs"]):
+                raise invalid(f"{at}.runs", "a non-empty list of rates in [0, 1]", stored["runs"])
+            result = variations[k] = VariationResult(stored["runs"])
+            for name in ("mean", "std"):
+                if abs(stored[name] - getattr(result, name)) > 1e-9:
+                    raise invalid(f"{at}.{name}", f"{getattr(result, name)!r}, as its runs give",
+                                  stored[name])
+        return cls(variations=variations)
 
 
 def score_keystep(rec, planner: Planner) -> KeystepScore:

@@ -41,6 +41,7 @@ from .geometry import (
 from .jsonfile import fields, read_json_lines, typed
 from .planlang import (
     GroundedPlan,
+    GroundedReference,
     PlanParseError,
     history_text,
     normalize_text,
@@ -290,7 +291,14 @@ def motion_policy(
 
 @dataclass
 class TraceStep:
-    """One planner invocation and everything that followed it."""
+    """One planner invocation and everything that followed it.
+
+    `plan` keeps its references' masks only on a step that also keeps its
+    `views` and `cameras`: a keystep of an episode run with store_views. On
+    every other step each reference keeps its text alone, which is all that
+    `history_text` and `trace_to_jsonl` read, so an episode holds no mask past
+    the planner call that grounded it.
+    """
 
     index: int
     keystep: bool
@@ -332,6 +340,12 @@ def _plan_signature(plan: GroundedPlan) -> tuple:
     )
 
 
+def _texts_only(plan: GroundedPlan) -> GroundedPlan:
+    """The plan with each reference's text and no masks."""
+    refs = {slot: GroundedReference(ref.text) for slot, ref in plan.references()}
+    return GroundedPlan(plan.action, **refs)
+
+
 def _finished(sim: Simulation) -> str | None:
     """The exit rule's one success check: "success" if the task holds, "failure"
     if its predicate cannot be evaluated, else None (the episode goes on)."""
@@ -353,9 +367,12 @@ def run_episode(
     """Run one closed-loop episode; deterministic given all arguments.
 
     With store_views, each keystep step keeps the views its plan was made
-    from and the posed cameras that rendered them; other steps keep neither.
-    Views are read-only, and steps whose cameras and scene did not change
-    share the same `View` objects.
+    from, the posed cameras that rendered them and its plan's masks; other
+    steps keep none of these (see TraceStep). Views are read-only, and steps
+    whose cameras and scene did not change share the same `View` objects.
+    Nothing else of a planner call outlives it: the next call renders with
+    no views, masks or cloud of this one held, so a frame the render memo
+    replaces is freed before its successor is drawn.
     """
     if chunk < 1:
         raise ValueError("chunk size must be >= 1")
@@ -410,13 +427,15 @@ def run_episode(
 
         keep_views = store_views and keystep
         trace.steps.append(TraceStep(
-            index=len(trace.steps), keystep=keystep, raw_text=raw_text, error=error, plan=plan,
+            index=len(trace.steps), keystep=keystep, raw_text=raw_text, error=error,
+            plan=plan if keep_views or plan is None else _texts_only(plan),
             cloud_counts=cloud_counts, motion=executed,
             gripper_position=tuple(sim.gripper.position), gripper_held=sim.gripper.held,
             history_before=history_before,
             views=views if keep_views else None,
             cameras=list(posed_rig.cameras) if keep_views else None,
         ))
+        views = stacks = plan = cloud = None  # freed before the next call renders
 
     trace.terminal = terminal or "failure"  # None here: the step budget ran out
     return trace

@@ -3,18 +3,21 @@
 Configs, suites, results and datasets come from outside the program. Each
 document's owner declares its fields once, as a table of name to kind, and
 builds its objects from what `fields` (or `typed`, for one value) checked. A
-kind is int, float (which also takes an integer), str, bool or list or dict
-(a bool is neither an integer nor a number); [kind], a list of that kind; a
-tuple of allowed strings; or (kind, None), which also takes null. A value of
-another kind is a ValueError reading "field '<path>' must be <kind>, got
-<value>", which `read_json` turns into the error that names the file. Checks a
-kind cannot express, such as ranges and sums, stay with the document's owner
-and raise `invalid` errors of the same form.
+kind is int, float (a finite number, which may be written as an integer), str,
+bool or list or dict (a bool is neither an integer nor a number); [kind], a
+list of that kind; a tuple of allowed strings; or (kind, None), which also
+takes null. A value of another kind is a ValueError reading "field '<path>'
+must be <kind>, got <value>", which `read_json` turns into the error that
+names the file; a number that is NaN or infinite (as `1e999` parses), or an
+integer beyond the float range, reads "must be a finite number". Checks a kind
+cannot express, such as ranges and sums, stay with the document's owner and
+raise `invalid` errors of the same form.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import reprlib
 
 # kind -> (the Python types of its values, a value of it, values of it)
@@ -32,26 +35,41 @@ class JsonFileError(RuntimeError):
         self.offset = offset
 
 
-def _holds(value, kind) -> bool:  # typed and fields test a plain type inline: a call fewer
+def _finite(x) -> bool:
+    """Whether the int or float x is a finite float."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _holds(value, kind, finite: bool = True) -> bool:
+    """Whether value is of kind; with finite=False, a float kind's numbers may be
+    NaN or infinite. typed and fields test the other plain types inline: a call
+    fewer."""
     if type(kind) is type:
-        return type(value) in _KINDS[kind][0]
+        return type(value) in _KINDS[kind][0] and (kind is not float or not finite
+                                                   or _finite(value))
     if type(kind) is list:
         if type(kind[0]) is type:  # one pass over the item types, not a Python loop
-            return type(value) is list and set(map(type, value)) <= _KINDS[kind[0]][0]
-        return type(value) is list and all(_holds(v, kind[0]) for v in value)
+            return (type(value) is list and set(map(type, value)) <= _KINDS[kind[0]][0]
+                    and (kind[0] is not float or not finite or all(map(_finite, value))))
+        return type(value) is list and all(_holds(v, kind[0], finite) for v in value)
     if kind[-1] is None:
-        return value is None or _holds(value, kind[0])
+        return value is None or _holds(value, kind[0], finite)
     return type(value) is str and value in kind
 
 
-def _describe(kind) -> str:
+def _describe(kind, finite: bool = False) -> str:
     if type(kind) is type:
-        return _KINDS[kind][1]
+        return "a finite number" if finite and kind is float else _KINDS[kind][1]
     if type(kind) is list:
         item = kind[0]
-        return "a list of " + (_KINDS[item][2] if type(item) is type else f"({_describe(item)})")
+        if type(item) is not type:
+            return f"a list of ({_describe(item, finite)})"
+        return "a list of " + ("finite numbers" if finite and item is float else _KINDS[item][2])
     if kind[-1] is None:
-        return f"{_describe(kind[0])} or null"
+        return f"{_describe(kind[0], finite)} or null"
     return "one of " + ", ".join(kind)
 
 
@@ -60,11 +78,17 @@ def invalid(field: str, expected: str, value) -> ValueError:
     return ValueError(f"field '{field}' must be {expected}, got {reprlib.repr(value)}")
 
 
+def _mismatch(field: str, kind, value) -> ValueError:
+    """The error for a value not of kind: a number that is not finite is named as such."""
+    return invalid(field, _describe(kind, _holds(value, kind, finite=False)), value)
+
+
 def typed(value, kind, field: str):
     """value, or a ValueError naming field unless value is of the JSON kind `kind`."""
-    if type(value) in _KINDS[kind][0] if type(kind) is type else _holds(value, kind):
+    if (type(value) in _KINDS[kind][0] if type(kind) is type and kind is not float
+            else _holds(value, kind)):
         return value
-    raise invalid(field, _describe(kind), value)
+    raise _mismatch(field, kind, value)
 
 
 def fields(d, table: dict, path: str = "", defaults: dict | None = None) -> dict:
@@ -76,8 +100,9 @@ def fields(d, table: dict, path: str = "", defaults: dict | None = None) -> dict
     for name, kind in table.items():
         if name in d:
             out[name] = value = d[name]
-            if not (type(value) in _KINDS[kind][0] if type(kind) is type else _holds(value, kind)):
-                raise invalid(f"{path}.{name}" if path else name, _describe(kind), value)
+            if not (type(value) in _KINDS[kind][0] if type(kind) is type and kind is not float
+                    else _holds(value, kind)):
+                raise _mismatch(f"{path}.{name}" if path else name, kind, value)
         elif defaults is not None and name in defaults:
             out[name] = defaults[name]
         else:

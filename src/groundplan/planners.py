@@ -12,6 +12,7 @@ ground-truth access stays episode-private.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
@@ -356,9 +357,10 @@ class MaskNoisePlanner:
     Spurious pixels are drawn by inverse-CDF sampling, as
     ``Generator.choice(candidates, p=w)`` does: k uniforms looked up in the
     float64 CDF of the normalised weights, with choice's picks and generator
-    state. A view's CDF is built once and shared by every reference; the
-    planner keeps the CDFs of the current call's views only, so a view the
-    render memo returns again reuses its CDF.
+    state. A view's CDF is built once and shared by every reference. The
+    planner holds it weakly keyed on the view, so it lives exactly as long as
+    its view: a view the render memo returns again reuses its CDF, and a view
+    no one holds takes its CDF with it.
     """
 
     def __init__(self, base: Planner, noise: float, episode_seed: int = 0, seed: int = 0):
@@ -370,7 +372,7 @@ class MaskNoisePlanner:
         self.rng = np.random.default_rng(
             np.random.SeedSequence([seed & (2**64 - 1), episode_seed & (2**64 - 1), 1451])
         )
-        self._cdfs: dict[View, np.ndarray] = {}
+        self._cdfs: weakref.WeakKeyDictionary[View, np.ndarray] = weakref.WeakKeyDictionary()
 
     def _cdf(self, view: View, candidates: np.ndarray) -> np.ndarray:
         cdf = self._cdfs.get(view)
@@ -406,7 +408,6 @@ class MaskNoisePlanner:
 
     def plan(self, instruction, views, history, inventory) -> PlannerOutput:
         text, stacks = self.base.plan(instruction, views, history, inventory)
-        self._cdfs = {v: self._cdfs[v] for v in views if v in self._cdfs}
         return text, [[self._speckle(m, v) for m, v in zip(stack, views)] for stack in stacks]
 
 

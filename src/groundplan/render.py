@@ -289,23 +289,22 @@ def render_views(scene: Scene, rig: CameraRig, memo: dict | None = None) -> View
     Every solid is prepared once and shared by the cameras. With a memo (one
     dict per episode, passed on every call), a camera whose intrinsics, pose
     and primitives are all byte-equal to its last render gets that render's
-    read-only `View` back instead of a new ray cast. The memo then holds only
-    this call's views, at most one per camera.
+    read-only `View` back instead of a new ray cast. The memo holds each
+    camera's last view, under the camera's index. A camera that changed drops
+    its entry before it renders, so the stale frame is freed first unless a
+    caller still holds it.
     """
     prims = _primitives(scene)
     solids = _prepared(prims)
     if memo is None:
         return ViewSet([_render(solids, cam) for cam in rig.cameras])
     prims_key = _primitives_key(prims)
-    views, fresh = [], {}
-    for cam in rig.cameras:
+    views = []
+    for i, cam in enumerate(rig.cameras):
         key = (cam.fx, cam.fy, cam.cx, cam.cy, cam.width, cam.height,
                cam.rotation.tobytes(), cam.translation.tobytes(), prims_key)
-        view = memo.get(key)
-        if view is None:
-            view = _render(solids, cam)
-        fresh[key] = view
-        views.append(view)
-    memo.clear()
-    memo.update(fresh)
+        if memo.get(i, (None,))[0] != key:
+            memo.pop(i, None)
+            memo[i] = key, _render(solids, cam)
+        views.append(memo[i][1])
     return ViewSet(views)

@@ -337,6 +337,12 @@ def _suite(shape=None, color=None, success=None) -> str:
     return json.dumps({"tasks": [task]})
 
 
+def _online(runs: str, mean: str, std: str) -> str:
+    """A results file of one variation, its values written as given."""
+    return ('{"type": "online", "variations": {"t+0": '
+            f'{{"runs": {runs}, "mean": {mean}, "std": {std}}}}}}}')
+
+
 _HEADER = {"task": "t+0", "group": "L1", "instruction": "x", "seed": 1, "chunk": 5,
            "terminal": "success", "motion_steps": 1, "planner_calls": 1, "history": []}
 _ROW = {"index": 0, "keystep": True, "raw_text": "Release.", "error": None,
@@ -424,6 +430,26 @@ def _without(d: dict, key: str) -> dict:
      "@ byte 0: field 'variations' must be an object, got []"),
     ("report", "--in", '{"type": "online", "variations": {"t+0": {"runs": "x"}}}',
      "@ byte 0: field 'variations.t+0.runs' must be a list of numbers, got 'x'"),
+    ("report", "--in", _online("[NaN]", "NaN", "NaN"),
+     "@ byte 0: field 'variations.t+0.runs' must be a list of finite numbers, got [nan]"),
+    ("report", "--in", _online("[1e999]", "1e999", "NaN"),
+     "@ byte 0: field 'variations.t+0.runs' must be a list of finite numbers, got [inf]"),
+    ("report", "--in", _online("[0.5]", "-Infinity", "0"),
+     "@ byte 0: field 'variations.t+0.mean' must be a finite number, got -inf"),
+    ("report", "--in", _online("[0.5]", "0.5", "Infinity"),
+     "@ byte 0: field 'variations.t+0.std' must be a finite number, got inf"),
+    ("report", "--in", '{"type": "offline", "groups": {"L1": {"act": NaN, "obj": 1, "grd": 1, '
+     '"keysteps": 1}}, "rows": []}',
+     "@ byte 0: field 'groups.L1.act' must be a finite number, got nan"),
+    ("report", "--in", _online("[]", "0", "0"),
+     "@ byte 0: field 'variations.t+0.runs' must be a non-empty list of rates in [0, 1], got []"),
+    ("report", "--in", _online("[0.5, 2.0, -1]", "0.5", "1.22"),
+     "@ byte 0: field 'variations.t+0.runs' must be a non-empty list of rates in [0, 1], "
+     "got [0.5, 2.0, -1]"),
+    ("report", "--in", _online("[0.5, 1.0]", "0.7", "0.25"),
+     "@ byte 0: field 'variations.t+0.mean' must be 0.75, as its runs give, got 0.7"),
+    ("report", "--in", _online("[0.5, 1.0]", "0.75", "0.2500001"),
+     "@ byte 0: field 'variations.t+0.std' must be 0.25, as its runs give, got 0.2500001"),
     ("report", "--in", '{"type": "été", ', "@ byte 18: Expecting property name enclosed "
      "in double quotes"),
     ("run-online", "--suite", b'{"tasks": "\xff"}', "@ byte 11: not UTF-8 text"),
@@ -434,3 +460,11 @@ def test_malformed_input_file_names_its_path(tmp_path, capsys, command, flag, co
     path.write_bytes(content if isinstance(content, bytes) else content.encode())
     assert main([command, flag, str(path)]) == 1
     assert capsys.readouterr().err.strip() == f"error: {path} {message}"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_a_non_finite_result_is_a_file_error_in_every_format(tmp_path, capsys, fmt):
+    path = tmp_path / "results.json"
+    path.write_text(_online("[1e999]", "1e999", "NaN"))
+    assert main(["report", "--in", str(path), "--format", fmt]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path} @ byte 0: field 'variations.t+0")

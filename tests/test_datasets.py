@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,9 +14,9 @@ from hypothesis import strategies as st
 
 from groundplan.datasets import (
     DatasetReadError,
+    _oracle_traces,
     _resolver,
     _views_from_json,
-    _run_oracle_episodes,
     extract_keysteps,
     gen_long_dataset,
     gen_long_horizon,
@@ -197,6 +199,79 @@ def test_oracle_failure_names_task_and_seed(tmp_path, small_rig, suite):
     assert "seed" in str(err.value)
 
 
+def _tree(root) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+@pytest.mark.parametrize("gen", [gen_plan_dataset, gen_refexp_dataset, gen_long_dataset])
+@pytest.mark.parametrize("existing", [False, True])
+def test_a_failed_episode_leaves_the_output_as_it_was(tmp_path, small_rig, suite, gen,
+                                                      existing):
+    # Records are written as each episode ends, so the first episodes' files exist
+    # when the last one fails, under the same names as an earlier dataset's.
+    payload = task_to_json(suite[5])
+    payload["success"] = {"kind": "joint_at_least", "object": "drawer", "threshold": 2.0}
+    out = tmp_path / "ds"
+    if existing:
+        gen([suite[0], suite[1]], 1, 5, str(out), rig=small_rig)
+        before, (manifest, _) = _tree(out), read_dataset(str(out))
+    written = []
+    real_write_depth = write_depth
+
+    def counted(path, depth):
+        written.append(path)
+        real_write_depth(path, depth)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("groundplan.datasets.write_depth", counted)
+        with pytest.raises(RuntimeError, match="open_drawer"):
+            gen([suite[0], suite[1], task_from_json(payload)], 1, 5, str(out), rig=small_rig)
+    assert written
+    assert [p.name for p in tmp_path.iterdir()] == (["ds"] if existing else [])
+    if existing:
+        assert _tree(out) == before
+        assert read_dataset(str(out))[0] == manifest
+        # One that succeeds moves its files in over the old dataset's.
+        assert gen([suite[1], suite[0]], 1, 5, str(out), rig=small_rig) == read_dataset(str(out))[0]
+
+
+@pytest.mark.parametrize("gen, picks", [(gen_plan_dataset, [0, 0]),
+                                        (gen_long_dataset, [0, 1, 0, 1])])
+def test_a_suite_that_repeats_a_key_writes_a_dataset_that_reads_back(tmp_path, suite,
+                                                                      small_rig, gen, picks):
+    # Every variation runs and writes its own episodes, and a repeated key adds them up.
+    man = gen([suite[i] for i in picks], 1, 3, str(tmp_path), rig=small_rig)
+    assert man.total_episodes == len(picks)
+    assert sum(man.counts.values()) == man.total_records
+    assert len(read_dataset(str(tmp_path))[1]) == man.total_records
+
+
+_GEN_RSS = """
+import resource, sys
+from groundplan.datasets import gen_plan_dataset
+from groundplan.scene import default_rig
+from groundplan.tasks import builtin_suite
+gen_plan_dataset(builtin_suite(), int(sys.argv[1]), 5, sys.argv[2], rig=default_rig(96))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)  # KiB on Linux
+"""
+
+
+def test_generation_memory_does_not_grow_with_episodes(tmp_path):
+    """Each episode is written and dropped before the next runs: peak RSS at 2 and
+    at 20 episodes per variation, each in a fresh process, is within 5 MB."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    peaks = []
+    for episodes in (2, 20):
+        out = subprocess.run([sys.executable, "-c", _GEN_RSS, str(episodes),
+                              str(tmp_path / str(episodes))],
+                             env=env, capture_output=True, text=True, check=True)
+        peaks.append(int(out.stdout) / 1024)
+    assert abs(peaks[1] - peaks[0]) < 5.0, peaks
+
+
 # -- refexp dataset ----------------------------------------------------------------
 
 
@@ -251,8 +326,8 @@ def test_joiner_deterministic_and_table_driven():
 
 
 def test_generation_keeps_views_only_at_keysteps(suite, small_rig):
-    traces = _run_oracle_episodes(suite[:3], 1, 0, small_rig)
-    steps = [s for per in traces.values() for t in per for s in t.steps]
+    traces = [_oracle_traces(task, vi, 1, 0, small_rig) for vi, task in enumerate(suite[:3])]
+    steps = [s for per in traces for t in per for s in t.steps]
     assert any(not s.keystep for s in steps)
     for s in steps:
         assert (s.views is not None) == s.keystep

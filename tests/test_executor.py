@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -299,6 +300,51 @@ def test_keystep_flags_mark_new_subplans(suite, small_rig):
     assert indices == sorted(set(indices))
     texts = [trace.steps[i].raw_text for i in indices]
     assert len(set(texts)) == len(texts)  # each keystep starts a new subplan
+
+
+def test_a_replaced_frame_is_freed_before_its_camera_renders_again(monkeypatch, suite):
+    from groundplan import executor, render
+    from groundplan.planners import with_mask_noise
+    from groundplan.scene import default_rig
+
+    last: dict = {}  # camera role -> weakref to the view it was last given
+    renders = 0
+
+    def traced(scene, rig, memo=None):
+        views = render_views(scene, rig, memo)
+        last.update((cam.role, weakref.ref(v)) for cam, v in zip(rig.cameras, views))
+        return views
+
+    def checked(solids, cam):
+        nonlocal renders
+        renders += 1
+        assert cam.role not in last or last[cam.role]() is None
+        return draw(solids, cam)
+
+    render_views, draw = executor.render_views, render._render
+    monkeypatch.setattr(executor, "render_views", traced)
+    monkeypatch.setattr(render, "_render", checked)
+    factory = corrupt(with_mask_noise(oracle_factory, 0.2, seed=3),
+                      CorruptionConfig(p_wrong_object=0.3, transient=True, seed=1))
+    for task in suite[:4]:
+        last.clear()
+        run_episode(task, 1, factory, chunk=1, rig=default_rig(48),
+                    grounding=GroundingConfig(dbscan_enabled=True))
+    assert renders > 4 * len(default_rig(48).cameras)  # some cameras rendered again
+
+
+@pytest.mark.parametrize("store_views", [False, True])
+def test_a_step_keeps_masks_only_where_it_keeps_views(suite, small_rig, store_views):
+    steps = [s for task in suite[:3]
+             for s in run_episode(task, 2, oracle_factory, chunk=1, rig=small_rig,
+                                  store_views=store_views).steps]
+    grounded = [s for s in steps if s.plan.references()]
+    assert any(s.keystep for s in grounded) and any(not s.keystep for s in grounded)
+    for s in steps:
+        kept = store_views and s.keystep
+        assert (s.views is not None) == kept and (s.cameras is not None) == kept
+        assert all(len(ref.masks) == (len(small_rig.cameras) if kept else 0)
+                   for _, ref in s.plan.references())
 
 
 def test_trace_jsonl_roundtrip(tmp_path, suite, small_rig):

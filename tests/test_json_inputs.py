@@ -144,6 +144,21 @@ def test_a_number_takes_an_integer_and_no_number_is_a_bool():
             typed(True, kind, "x")
 
 
+@pytest.mark.parametrize("kind,value,expected", [
+    (float, float("nan"), "a finite number"),
+    (float, float("-inf"), "a finite number"),
+    (float, 10**400, "a finite number"),  # an integer no float can hold
+    ((float, None), float("inf"), "a finite number or null"),
+    ([float], [0.5, float("inf")], "a list of finite numbers"),
+    ([float], [0.5, "x", float("nan")], "a list of numbers"),
+])
+def test_a_number_is_finite(kind, value, expected):
+    assert json.loads("1e999") == float("inf")
+    with pytest.raises(ValueError, match=f"^field 'x' must be {re.escape(expected)}, got "):
+        typed(value, kind, "x")
+    assert typed(2**53, float, "x") == 2**53
+
+
 # A trace line's fields that take null: a step's error, action and held id, and a
 # motion step's delta and object id.
 TRACE_NULLABLE = re.compile(r"^(error|action|gripper_held)$|\.(delta|object_id)$")

@@ -11,6 +11,7 @@ look_at, which computed it on every call.
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -121,6 +122,27 @@ def test_rendered_frames_are_read_only():
                 view.depth[0, 0] = 1.0
             with pytest.raises(ValueError):
                 view.ids[0, 0] = 7
+
+
+def test_a_stale_memo_frame_is_freed_before_its_camera_renders_again(monkeypatch):
+    scene = _scene([Box(half_extents=np.array([0.03, 0.03, 0.03]))], [(0.0, 0.0)], [0.0], 0.5)
+    memo: dict = {}
+    first = render_views(scene, RIG.posed(np.array([0.0, 0.0, 0.2])), memo)
+    kept = [weakref.ref(v) for v in first]
+    del first
+    rendering = []
+
+    def checked(solids, cam):
+        # Only the wrist moved: its last frame must be gone when its new one starts.
+        rendering.append(cam.role)
+        assert kept[2]() is None
+        return real(solids, cam)
+
+    real = render._render
+    monkeypatch.setattr(render, "_render", checked)
+    again = render_views(scene, RIG.posed(np.array([0.02, 0.0, 0.2])), memo)
+    assert rendering == ["wrist"]
+    assert [v is ref() for v, ref in zip(again, kept)] == [True, True, False]
 
 
 # -- row band against the full frame -------------------------------------------------
